@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/thread_pool.h"
+
 namespace hyperprof {
 
 namespace {
@@ -99,6 +101,37 @@ double Rng::NextBoundedPareto(double alpha, double lo, double hi) {
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }
 
+namespace {
+
+/**
+ * Vose's pairing. On entry `prob` holds the scaled weights n * p_i; on
+ * exit it holds each column's acceptance probability and `alias` (size n,
+ * zero-filled) its alias.
+ */
+void PairAliases(std::vector<double>& prob, std::vector<uint32_t>& alias) {
+  const size_t n = prob.size();
+  std::vector<uint32_t> small, large;
+  small.reserve(n);
+  large.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    (prob[i] < 1.0 ? small : large).push_back(static_cast<uint32_t>(i));
+  }
+  while (!small.empty() && !large.empty()) {
+    uint32_t s = small.back();
+    small.pop_back();
+    uint32_t l = large.back();
+    large.pop_back();
+    // prob[s] is final from here on: s never re-enters either list.
+    alias[s] = l;
+    prob[l] = prob[l] + prob[s] - 1.0;
+    (prob[l] < 1.0 ? small : large).push_back(l);
+  }
+  for (uint32_t l : large) prob[l] = 1.0;
+  for (uint32_t s : small) prob[s] = 1.0;
+}
+
+}  // namespace
+
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
   const size_t n = weights.empty() ? 1 : weights.size();
   std::vector<double> w(weights);
@@ -115,34 +148,12 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   normalized_.resize(n);
   for (size_t i = 0; i < n; ++i) normalized_[i] = w[i] / total;
 
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-  std::vector<double> scaled(n);
-  std::vector<uint32_t> small, large;
+  prob_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    scaled[i] = normalized_[i] * static_cast<double>(n);
-    if (scaled[i] < 1.0) {
-      small.push_back(static_cast<uint32_t>(i));
-    } else {
-      large.push_back(static_cast<uint32_t>(i));
-    }
+    prob_[i] = normalized_[i] * static_cast<double>(n);
   }
-  while (!small.empty() && !large.empty()) {
-    uint32_t s = small.back();
-    small.pop_back();
-    uint32_t l = large.back();
-    large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = scaled[l] + scaled[s] - 1.0;
-    if (scaled[l] < 1.0) {
-      small.push_back(l);
-    } else {
-      large.push_back(l);
-    }
-  }
-  for (uint32_t l : large) prob_[l] = 1.0;
-  for (uint32_t s : small) prob_[s] = 1.0;
+  alias_.assign(n, 0);
+  PairAliases(prob_, alias_);
 }
 
 size_t AliasSampler::Sample(Rng& rng) const {
@@ -152,8 +163,6 @@ size_t AliasSampler::Sample(Rng& rng) const {
 
 double AliasSampler::Probability(size_t i) const { return normalized_[i]; }
 
-namespace {
-
 std::vector<double> ZipfWeights(size_t n, double s) {
   std::vector<double> w(n == 0 ? 1 : n);
   for (size_t i = 0; i < w.size(); ++i) {
@@ -162,8 +171,32 @@ std::vector<double> ZipfWeights(size_t n, double s) {
   return w;
 }
 
-}  // namespace
+ZipfSampler::ZipfSampler(size_t n, double s, ThreadPool* pool)
+    : prob_(n == 0 ? 1 : n), alias_(prob_.size(), 0) {
+  // The same arithmetic, in the same order per element, as AliasSampler
+  // over ZipfWeights(n, s); prob_ holds the weights, then the scaled
+  // weights, then the acceptance probabilities. Rank 0 weighs 1, so the
+  // total is positive and the all-zero fallback never applies.
+  ForEachRange(pool, prob_.size(), [this, s](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      prob_[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+    }
+  });
+  double total = 0;
+  for (double w : prob_) total += w;
+  const double count = static_cast<double>(prob_.size());
+  ForEachRange(pool, prob_.size(),
+               [this, total, count](size_t begin, size_t end) {
+                 for (size_t i = begin; i < end; ++i) {
+                   prob_[i] = prob_[i] / total * count;
+                 }
+               });
+  PairAliases(prob_, alias_);
+}
 
-ZipfSampler::ZipfSampler(size_t n, double s) : sampler_(ZipfWeights(n, s)) {}
+size_t ZipfSampler::Sample(Rng& rng) const {
+  size_t i = rng.NextBounded(prob_.size());
+  return rng.NextDouble() < prob_[i] ? i : alias_[i];
+}
 
 }  // namespace hyperprof

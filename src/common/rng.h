@@ -7,6 +7,8 @@
 
 namespace hyperprof {
 
+class ThreadPool;
+
 /**
  * Deterministic pseudo-random number generator (xoshiro256**) with a
  * SplitMix64 seeder.
@@ -90,6 +92,10 @@ class AliasSampler {
   /** Normalized probability of index i (for inspection/tests). */
   double Probability(size_t i) const;
 
+  /** Column i of the alias table (for inspection/tests). */
+  double Acceptance(size_t i) const { return prob_[i]; }
+  size_t Alias(size_t i) const { return alias_[i]; }
+
  private:
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
@@ -97,21 +103,44 @@ class AliasSampler {
 };
 
 /**
+ * The unnormalized Zipf rank weights 1/(i+1)^s for i in [0, n); n == 0
+ * yields the single weight of rank 0. ZipfSampler samples exactly the
+ * distribution AliasSampler(ZipfWeights(n, s)) does.
+ */
+std::vector<double> ZipfWeights(size_t n, double s);
+
+/**
  * Zipfian sampler over ranks [0, n) with skew parameter s.
  *
  * Key popularity in production KV stores is Zipf-like; this drives the
  * cache-hit behaviour of the storage substrate. Implemented via an alias
  * table over the rank probabilities, so draws are O(1).
+ *
+ * The table is built in place, with no weight or normalized copy: a
+ * paper-scale block space has millions of ranks, and every platform
+ * builds one. Its draws are bit-identical to those of
+ * AliasSampler(ZipfWeights(n, s)) for every seed.
  */
 class ZipfSampler {
  public:
-  ZipfSampler(size_t n, double s);
+  /**
+   * A non-null `pool` computes the weights and the scale step in parallel.
+   * The total is summed serially in rank order and the alias pairing is
+   * serial, so the table is bit-identical with or without a pool.
+   */
+  ZipfSampler(size_t n, double s, ThreadPool* pool = nullptr);
 
-  size_t Sample(Rng& rng) const { return sampler_.Sample(rng); }
-  size_t size() const { return sampler_.size(); }
+  /** Samples a rank in [0, size()). */
+  size_t Sample(Rng& rng) const;
+  size_t size() const { return prob_.size(); }
+
+  /** Column i of the alias table (for inspection/tests). */
+  double Acceptance(size_t i) const { return prob_[i]; }
+  size_t Alias(size_t i) const { return alias_[i]; }
 
  private:
-  AliasSampler sampler_;
+  std::vector<double> prob_;
+  std::vector<uint32_t> alias_;
 };
 
 }  // namespace hyperprof

@@ -124,6 +124,30 @@ size_t ThreadPool::ResolveParallelism(size_t parallelism) {
   return std::max<size_t>(1, hardware);
 }
 
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->ParallelFor(n, fn);
+}
+
+void ForEachRange(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t, size_t)>& fn) {
+  if (n == 0) return;
+  if (pool == nullptr) {
+    fn(0, n);
+    return;
+  }
+  // Several ranges per worker so one slow range does not leave the rest
+  // of the pool idle at the end.
+  const size_t ranges = std::min(n, pool->size() * 4);
+  pool->ParallelFor(ranges, [n, ranges, &fn](size_t r) {
+    fn(n * r / ranges, n * (r + 1) / ranges);
+  });
+}
+
 void ThreadPool::WorkerLoop() {
   for (;;) {
     Task task;

@@ -86,6 +86,21 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/**
+ * fn(0..n-1) across `pool`, or inline in index order when `pool` is null.
+ * For set-up work whose results must not depend on whether it ran
+ * parallel: each index has to write only state no other index touches.
+ */
+void ForEachIndex(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t)>& fn);
+
+/**
+ * fn(begin, end) over contiguous ranges covering [0, n): a few ranges per
+ * worker of `pool`, or the single range [0, n) inline when `pool` is null.
+ */
+void ForEachRange(ThreadPool* pool, size_t n,
+                  const std::function<void(size_t, size_t)>& fn);
+
 }  // namespace hyperprof
 
 #endif  // HYPERPROF_COMMON_THREAD_POOL_H_

@@ -59,7 +59,10 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
   assert(!sharded_ || context_.shard_count > 0);
   assert(!sharded_ || spec_.worker_cores == 0);
   assert(context_.simulator && context_.dfs && context_.rpc &&
-         context_.tracer && context_.profiler && context_.registry);
+         context_.tracer && context_.profiler && context_.registry &&
+         context_.block_sampler);
+  assert(context_.block_sampler->size() ==
+         std::max<uint64_t>(spec_.block_space, 1));
   // Windowed profiling rides the tracer's finish path: attaching here
   // means every sampled completion feeds its window without a second
   // per-query hook in the engine hot path.
@@ -92,8 +95,6 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
       symbols_[i].push_back(spec_.name + "::internal::unknown_leaf");
     }
   }
-  block_sampler_ =
-      std::make_unique<ZipfSampler>(spec_.block_space, spec_.block_zipf_s);
   if (spec_.worker_cores > 0) {
     worker_pool_ = std::make_unique<sim::Resource>(
         context_.simulator, spec_.name + "/workers", spec_.worker_cores);
@@ -444,7 +445,7 @@ void PlatformEngine::RunIoPhase(std::shared_ptr<QueryState> query,
     auto barrier = sim::Barrier(
         static_cast<size_t>(wave), [self]() { (*self)(); });
     for (int i = 0; i < wave; ++i) {
-      uint64_t block_id = block_sampler_->Sample(DrawStream(*query));
+      uint64_t block_id = context_.block_sampler->Sample(DrawStream(*query));
       SimTime start = context_.simulator->Now();
       auto on_io = [this, query, start, barrier,
                     name = phase.write ? dfs_write_span_id_

@@ -57,6 +57,10 @@ struct EngineContext {
   // shards carry a deferred-evaluation instance that the post-run merge
   // combines at the barrier (see profiling/continuous.h).
   profiling::ContinuousProfiler* continuous = nullptr;
+  // Block popularity over spec.block_space ranks with skew
+  // spec.block_zipf_s. Read-only, so one instance serves every worker
+  // engine of a sharded platform.
+  const ZipfSampler* block_sampler = nullptr;
 
   // --- Sharded mode (FleetConfig::shards_per_platform > 0) ---
   // When `shard_io` is set the engine runs in per-query-stream mode: it
@@ -223,7 +227,6 @@ class PlatformEngine {
   std::vector<size_t> mix_categories_;  // categories with nonzero weight
   // Symbols per fine category, resolved once from the registry.
   std::vector<std::vector<std::string>> symbols_;
-  std::unique_ptr<ZipfSampler> block_sampler_;
   // Finite worker-CPU pool when spec.worker_cores > 0 (else null).
   std::unique_ptr<sim::Resource> worker_pool_;
   // Interned names, resolved once at construction so the per-query path

@@ -17,6 +17,10 @@ namespace {
 // constant is the only randomness source it constructs.
 constexpr uint64_t kMergeSeed = 0x9e3779b97f4a7c15ULL;
 
+// Block spaces from this size up are set up on a thread pool (see
+// BuildStoragePlane); below it the serial build takes milliseconds.
+constexpr uint64_t kParallelSetupMinBlocks = uint64_t{1} << 18;
+
 // Windowed-profiler options from the fleet config. `defer` marks worker
 // shards, whose partial windows must not be budget-evaluated; the merged
 // (or fused) instance evaluates in window-index order instead.
@@ -154,6 +158,44 @@ uint64_t FleetSimulation::PlatformSeed(uint64_t fleet_seed,
   return z ^ (z >> 31);
 }
 
+void FleetSimulation::BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) {
+  slot.simulator = std::make_unique<sim::Simulator>();
+  slot.simulator->Reserve(4096);
+  slot.network = std::make_unique<net::NetworkModel>();
+  slot.rpc = std::make_unique<net::RpcSystem>(
+      slot.simulator.get(), slot.network.get(), shard_rng.Fork());
+  slot.dfs = std::make_unique<storage::DistributedFileSystem>(
+      slot.simulator.get(), slot.rpc.get(), config_.dfs, shard_rng.Fork());
+  // Paper-scale block spaces build the sampler and warm the caches on a
+  // set-up pool of config_.parallelism threads. Both give exactly what a
+  // serial build gives; small block spaces stay serial and start no
+  // threads, since a pool would cost more than it saves.
+  const PlatformSpec& spec = slot.spec;
+  std::unique_ptr<ThreadPool> pool;
+  const size_t threads = ThreadPool::ResolveParallelism(config_.parallelism);
+  if (threads > 1 && spec.block_space >= kParallelSetupMinBlocks) {
+    pool = std::make_unique<ThreadPool>(threads);
+  }
+  // The sampler and the caches share nothing, so the two builds overlap:
+  // the sampler's serial alias pairing runs while other threads fill.
+  ForEachIndex(pool.get(), 2, [&](size_t job) {
+    if (job == 0) {
+      slot.block_sampler = std::make_unique<ZipfSampler>(
+          spec.block_space, spec.block_zipf_s, pool.get());
+      return;
+    }
+    // Start from the warm steady state: install the hottest blocks (block
+    // id == Zipf popularity rank) so the configured tier hit rates hold
+    // from the first query.
+    const uint64_t ram_blocks = storage::MinKeysForMass(
+        spec.ram_hit_target, spec.block_space, spec.block_zipf_s);
+    const uint64_t ssd_blocks = storage::MinKeysForMass(
+        spec.ram_ssd_hit_target, spec.block_space, spec.block_zipf_s);
+    slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, spec.typical_block_bytes,
+                          pool.get());
+  });
+}
+
 void FleetSimulation::AddPlatform(PlatformSpec spec) {
   assert(!ran_);
   if (config_.shards_per_platform > 0) {
@@ -166,24 +208,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   // on which host thread runs it or what the other platforms do.
   Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
   slot->spec = spec;
-  slot->simulator = std::make_unique<sim::Simulator>();
-  slot->simulator->Reserve(4096);
-  slot->network = std::make_unique<net::NetworkModel>();
-  slot->rpc = std::make_unique<net::RpcSystem>(
-      slot->simulator.get(), slot->network.get(), shard_rng.Fork());
-  slot->dfs = std::make_unique<storage::DistributedFileSystem>(
-      slot->simulator.get(), slot->rpc.get(), config_.dfs, shard_rng.Fork());
-  // Start from the warm steady state: install the hottest blocks (block
-  // id == Zipf popularity rank) so the configured tier hit rates hold
-  // from the first query.
-  uint64_t ram_blocks = storage::MinKeysForMass(
-      slot->spec.ram_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  uint64_t ssd_blocks = storage::MinKeysForMass(
-      slot->spec.ram_ssd_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  slot->dfs->PrewarmZipf(ram_blocks, ssd_blocks,
-                         slot->spec.typical_block_bytes);
+  BuildStoragePlane(*slot, shard_rng);
   profiling::TracerOptions tracer_options;
   tracer_options.retention = config_.trace_retention;
   tracer_options.reservoir_capacity = config_.trace_reservoir_capacity;
@@ -202,6 +227,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   context.tracer = slot->tracer.get();
   context.profiler = slot->profiler.get();
   context.continuous = slot->continuous.get();
+  context.block_sampler = slot->block_sampler.get();
   context.registry = &registry_;
   context.worker_hosts = config_.worker_hosts;
   slot->engine = std::make_unique<PlatformEngine>(context, std::move(spec),
@@ -230,21 +256,7 @@ void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
   Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
   // The fused slot members double as the storage plane: `simulator` is
   // the storage kernel, and rpc/dfs run on it exactly as in fused mode.
-  slot->simulator = std::make_unique<sim::Simulator>();
-  slot->simulator->Reserve(4096);
-  slot->network = std::make_unique<net::NetworkModel>();
-  slot->rpc = std::make_unique<net::RpcSystem>(
-      slot->simulator.get(), slot->network.get(), shard_rng.Fork());
-  slot->dfs = std::make_unique<storage::DistributedFileSystem>(
-      slot->simulator.get(), slot->rpc.get(), config_.dfs, shard_rng.Fork());
-  uint64_t ram_blocks = storage::MinKeysForMass(
-      slot->spec.ram_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  uint64_t ssd_blocks = storage::MinKeysForMass(
-      slot->spec.ram_ssd_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  slot->dfs->PrewarmZipf(ram_blocks, ssd_blocks,
-                         slot->spec.typical_block_bytes);
+  BuildStoragePlane(*slot, shard_rng);
   Rng tracer_rng = shard_rng.Fork();
   Rng profiler_rng = shard_rng.Fork();
   Rng engine_rng = shard_rng.Fork();
@@ -299,6 +311,7 @@ void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
     context.tracer = worker.tracer.get();
     context.profiler = worker.profiler.get();
     context.continuous = worker.continuous.get();
+    context.block_sampler = slot->block_sampler.get();
     context.registry = &registry_;
     context.shard_io = slot->fabric.get();
     context.shard_index = k;

@@ -36,9 +36,11 @@ struct FleetConfig {
   SimTime profiler_period = SimTime::Micros(1000);
   double cpu_hz = 3.0e9;
   uint64_t seed = 42;
-  // Host threads used by RunAll: 0 = one per hardware thread, 1 = the
-  // serial path, N = at most N platforms simulate concurrently. Every
-  // setting produces bit-identical results (see DESIGN.md).
+  // Host threads used by AddPlatform and RunAll: 0 = one per hardware
+  // thread, 1 = the serial path (no threads are started), N = at most N
+  // threads. AddPlatform builds a paper-scale block sampler and warms its
+  // caches with them; RunAll simulates at most N platforms concurrently.
+  // Every setting produces bit-identical results (see DESIGN.md).
   uint32_t parallelism = 0;
   // --- Intra-platform sharding -------------------------------------------
   // 0 (the default) is the legacy fused platform: one event kernel runs
@@ -336,6 +338,9 @@ class FleetSimulation {
     std::unique_ptr<profiling::Tracer> tracer;
     std::unique_ptr<profiling::CpuProfiler> profiler;
     std::unique_ptr<profiling::ContinuousProfiler> continuous;
+    // Block popularity sampler, shared read-only by the platform's
+    // engine(s).
+    std::unique_ptr<const ZipfSampler> block_sampler;
     std::unique_ptr<PlatformEngine> engine;
 
     // --- Sharded mode (shards_per_platform > 0) --------------------------
@@ -353,6 +358,13 @@ class FleetSimulation {
     std::unique_ptr<profiling::CpuProfiler> merged_profiler;
     std::unique_ptr<profiling::ContinuousProfiler> merged_continuous;
   };
+
+  /**
+   * Builds the slot's storage plane from slot.spec: event kernel, network,
+   * RPC fabric and DFS (forking their streams from `shard_rng` in that
+   * order), the shared block sampler, and the prewarmed caches.
+   */
+  void BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng);
 
   /** Builds a sharded slot (workers + storage kernel + fabric). */
   void AddShardedPlatform(PlatformSpec spec);

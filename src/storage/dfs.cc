@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/thread_pool.h"
+
 namespace hyperprof::storage {
 
 namespace {
@@ -40,12 +42,38 @@ net::NodeId DistributedFileSystem::ServerNode(uint32_t index) const {
 
 void DistributedFileSystem::PrewarmZipf(uint64_t ram_blocks,
                                         uint64_t ssd_blocks,
-                                        uint64_t block_bytes) {
-  for (uint64_t id = 0; id < ssd_blocks; ++id) {
-    TieredStore* store = stores_[HomeServer(id)].get();
-    store->Prewarm(id, block_bytes, Tier::kSsd);
-    if (id < ram_blocks) store->Prewarm(id, block_bytes, Tier::kRam);
-  }
+                                        uint64_t block_bytes,
+                                        ThreadPool* pool) {
+  // RAM warms only ids that SSD warms too.
+  ram_blocks = std::min(ram_blocks, ssd_blocks);
+  const uint32_t servers = params_.num_fileservers;
+  // Each warmed id's home server, hashed once for every fill below.
+  std::vector<uint32_t> home(ssd_blocks);
+  ForEachRange(pool, ssd_blocks, [this, &home](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) home[id] = HomeServer(id);
+  });
+  // One fill per (server, tier) cache, inserting that cache's blocks in
+  // increasing id order exactly as a single serial pass would. No two
+  // fills share a cache, so they may run in any order, on any thread, and
+  // leave the same state; each also keeps to one cache's memory.
+  ForEachIndex(pool, 2 * size_t{servers}, [&](size_t fill) {
+    const uint32_t server = static_cast<uint32_t>(fill / 2);
+    const Tier tier = fill % 2 == 0 ? Tier::kSsd : Tier::kRam;
+    const uint64_t limit = tier == Tier::kSsd ? ssd_blocks : ram_blocks;
+    TieredStore& store = *stores_[server];
+    const LruCache& cache =
+        tier == Tier::kSsd ? store.ssd_cache() : store.ram_cache();
+    uint64_t blocks = static_cast<uint64_t>(
+        std::count(home.begin(), home.begin() + limit, server));
+    // The cache holds at most capacity / block_bytes of these blocks.
+    if (block_bytes > 0) {
+      blocks = std::min(blocks, cache.capacity_bytes() / block_bytes);
+    }
+    store.ReservePrewarm(tier, blocks);
+    for (uint64_t id = 0; id < limit; ++id) {
+      if (home[id] == server) store.Prewarm(id, block_bytes, tier);
+    }
+  });
 }
 
 void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,

@@ -13,6 +13,10 @@
 #include "sim/simulator.h"
 #include "storage/tiered_store.h"
 
+namespace hyperprof {
+class ThreadPool;
+}  // namespace hyperprof
+
 namespace hyperprof::storage {
 
 /** Outcome of a distributed read or write. */
@@ -101,9 +105,13 @@ class DistributedFileSystem {
    * (block id == popularity rank): ids [0, ram_blocks) go to RAM and SSD,
    * ids [ram_blocks, ssd_blocks) to SSD only. Models the steady state a
    * production fleet runs in rather than an all-cold start.
+   *
+   * A non-null `pool` fills the fileservers' caches concurrently. Each
+   * cache still receives its blocks in increasing id order, so every
+   * cache ends in the same state as with no pool.
    */
   void PrewarmZipf(uint64_t ram_blocks, uint64_t ssd_blocks,
-                   uint64_t block_bytes);
+                   uint64_t block_bytes, ThreadPool* pool = nullptr);
 
   const TieredStore& server_store(uint32_t index) const {
     return *stores_[index];

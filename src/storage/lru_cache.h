@@ -40,6 +40,15 @@ class LruCache {
   /** Removes a block if present; returns true if it was resident. */
   bool Erase(uint64_t block_id);
 
+  /**
+   * Sizes the hash table for `entries` resident blocks up front, so a bulk
+   * fill does not rehash on the way. Behaviour is unchanged: lookups,
+   * LRU order and every counter match an unsized cache. The slot array is
+   * deliberately left to grow on demand: reserving it exactly would make
+   * the first insert after a fill reallocate all of it.
+   */
+  void Reserve(size_t entries);
+
   /** Residency check without LRU promotion. */
   bool Contains(uint64_t block_id) const;
 
@@ -71,7 +80,7 @@ class LruCache {
   void EraseCell(size_t cell);
   void RemoveSlot(uint32_t slot);
   void EvictUntilFits(uint64_t incoming_bytes);
-  void Grow();
+  void Rehash(size_t cells);
 
   uint64_t capacity_bytes_;
   uint64_t used_bytes_ = 0;

@@ -71,6 +71,19 @@ void TieredStore::Prewarm(uint64_t block_id, uint64_t bytes, Tier tier) {
   }
 }
 
+void TieredStore::ReservePrewarm(Tier tier, size_t blocks) {
+  switch (tier) {
+    case Tier::kRam:
+      ram_.Reserve(blocks);
+      break;
+    case Tier::kSsd:
+      ssd_.Reserve(blocks);
+      break;
+    case Tier::kHdd:
+      break;
+  }
+}
+
 double TieredStore::TierServeFraction(Tier tier) const {
   if (reads_ == 0) return 0.0;
   return static_cast<double>(served_by_[static_cast<int>(tier)]) /

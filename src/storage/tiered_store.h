@@ -71,6 +71,12 @@ class TieredStore {
    */
   void Prewarm(uint64_t block_id, uint64_t bytes, Tier tier);
 
+  /**
+   * Sizes a cache tier's table for `blocks` blocks about to be prewarmed
+   * (see LruCache::Reserve). No-op for Tier::kHdd.
+   */
+  void ReservePrewarm(Tier tier, size_t blocks);
+
   /** Fraction of reads served by each tier (RAM, SSD, HDD). */
   double TierServeFraction(Tier tier) const;
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/thread_pool.h"
 
 namespace hyperprof {
 namespace {
@@ -194,6 +197,52 @@ TEST(ZipfSamplerTest, HeadMassMatchesTheory) {
     if (k <= 10) num += w;
   }
   EXPECT_NEAR(head / static_cast<double>(draws), num / den, 0.01);
+}
+
+TEST(ZipfSamplerTest, DrawsMatchAliasSamplerOverZipfWeights) {
+  // The in-place table, built serially or on a pool, must equal the
+  // generic alias table over the same weights and give exactly its draws.
+  // The pool runs at small sizes so the sanitizer jobs cover the pooled
+  // build.
+  ThreadPool pool(3);
+  const std::pair<size_t, double> cases[] = {
+      {0, 0.9},   {1, 0.9},    {1, 0.0},     {2, 1.0},    {3, -0.5},
+      {7, 0.0},   {100, 0.0},  {1000, 0.6},  {4096, 0.99}, {5000, 1.3},
+      {20000, 0.85}};
+  for (const auto& [n, s] : cases) {
+    const AliasSampler reference(ZipfWeights(n, s));
+    const ZipfSampler serial(n, s);
+    const ZipfSampler pooled(n, s, &pool);
+    ASSERT_EQ(serial.size(), reference.size()) << n << " " << s;
+    ASSERT_EQ(pooled.size(), reference.size()) << n << " " << s;
+    // Bit-exact tables: a last-bit difference would almost never show in
+    // a draw, so compare the columns themselves.
+    for (size_t i = 0; i < reference.size(); ++i) {
+      for (const ZipfSampler* built : {&serial, &pooled}) {
+        ASSERT_EQ(built->Acceptance(i), reference.Acceptance(i))
+            << "n=" << n << " s=" << s << " column " << i;
+        ASSERT_EQ(built->Alias(i), reference.Alias(i))
+            << "n=" << n << " s=" << s << " column " << i;
+      }
+    }
+    for (uint64_t seed = 1; seed <= 64; ++seed) {
+      Rng want_rng(seed), serial_rng(seed), pooled_rng(seed);
+      for (int i = 0; i < 200; ++i) {
+        const size_t want = reference.Sample(want_rng);
+        ASSERT_EQ(serial.Sample(serial_rng), want)
+            << "n=" << n << " s=" << s << " seed=" << seed << " draw=" << i;
+        ASSERT_EQ(pooled.Sample(pooled_rng), want)
+            << "n=" << n << " s=" << s << " seed=" << seed << " draw=" << i;
+      }
+    }
+  }
+}
+
+TEST(ZipfSamplerTest, EmptyRankSpaceSamplesRankZero) {
+  const ZipfSampler zipf(0, 0.9);
+  EXPECT_EQ(zipf.size(), 1u);
+  Rng rng(67);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(zipf.Sample(rng), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,43 @@ TEST(ThreadPoolTest, ResolveParallelismMapsZeroToHardware) {
   EXPECT_GE(ThreadPool::ResolveParallelism(0), 1u);
   EXPECT_EQ(ThreadPool::ResolveParallelism(1), 1u);
   EXPECT_EQ(ThreadPool::ResolveParallelism(7), 7u);
+}
+
+TEST(ForEachIndexTest, NullPoolRunsInlineInIndexOrder) {
+  std::vector<size_t> order;
+  ForEachIndex(nullptr, 5, [&](size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ForEachIndexTest, PoolCoversEveryIndexOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(37);
+  ForEachIndex(&pool, hits.size(), [&](size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ForEachRangeTest, NullPoolRunsOneRange) {
+  std::vector<std::pair<size_t, size_t>> ranges;
+  ForEachRange(nullptr, 10, [&](size_t begin, size_t end) {
+    ranges.emplace_back(begin, end);
+  });
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], (std::pair<size_t, size_t>{0, 10}));
+  ForEachRange(nullptr, 0, [&](size_t, size_t) { ADD_FAILURE(); });
+}
+
+TEST(ForEachRangeTest, PoolRangesTileTheIndexSpace) {
+  ThreadPool pool(3);
+  for (size_t n : {0, 1, 2, 11, 12, 13, 1000}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<int> empty_ranges{0};
+    ForEachRange(&pool, n, [&](size_t begin, size_t end) {
+      if (begin >= end) ++empty_ranges;
+      for (size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    EXPECT_EQ(empty_ranges.load(), 0) << n;
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << n;
+  }
 }
 
 }  // namespace

@@ -18,7 +18,9 @@ class EngineTest : public ::testing::Test {
         dfs_(&simulator_, &rpc_, storage::DfsParams(), Rng(3)),
         tracer_(1, Rng(4)),  // trace everything
         profiler_(SimTime::Micros(200), 3e9, Rng(5)),
-        registry_(profiling::BuildFleetRegistry()) {}
+        registry_(profiling::BuildFleetRegistry()),
+        block_sampler_(SimpleSpec().block_space,
+                       SimpleSpec().block_zipf_s) {}
 
   EngineContext Context() {
     EngineContext context;
@@ -28,6 +30,7 @@ class EngineTest : public ::testing::Test {
     context.tracer = &tracer_;
     context.profiler = &profiler_;
     context.registry = &registry_;
+    context.block_sampler = &block_sampler_;
     return context;
   }
 
@@ -63,6 +66,7 @@ class EngineTest : public ::testing::Test {
   profiling::Tracer tracer_;
   profiling::CpuProfiler profiler_;
   profiling::FunctionRegistry registry_;
+  ZipfSampler block_sampler_;
 };
 
 TEST_F(EngineTest, CompletesAllQueries) {
@@ -137,6 +141,7 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
     context.tracer = &tracer;
     context.profiler = &profiler;
     context.registry = &registry_;
+    context.block_sampler = &block_sampler_;
     PlatformEngine engine(context, SimpleSpec(), Rng(seed));
     engine.Run(30, 1000.0, [] {});
     simulator.Run();

@@ -5,6 +5,7 @@
 // alone (see DESIGN.md).
 
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +126,27 @@ void ExpectBitIdentical(FleetSimulation& serial, FleetSimulation& parallel) {
       EXPECT_EQ(ta[t].end, tb[t].end) << a.name << " trace " << t;
       EXPECT_EQ(ta[t].spans.size(), tb[t].spans.size())
           << a.name << " trace " << t;
+    }
+  }
+  // Cache state too. The parallel fleets warmed their caches and built
+  // their block samplers on a set-up pool, the serial reference on one
+  // thread: every fileserver cache must end the run in the same state.
+  for (size_t p = 0; p < serial.platform_count(); ++p) {
+    const storage::DistributedFileSystem& da = serial.DfsOf(p);
+    const storage::DistributedFileSystem& db = parallel.DfsOf(p);
+    ASSERT_EQ(da.num_fileservers(), db.num_fileservers());
+    for (uint32_t s = 0; s < da.num_fileservers(); ++s) {
+      const storage::TieredStore& sa = da.server_store(s);
+      const storage::TieredStore& sb = db.server_store(s);
+      for (const auto& [ca, cb] :
+           {std::pair{&sa.ram_cache(), &sb.ram_cache()},
+            std::pair{&sa.ssd_cache(), &sb.ssd_cache()}}) {
+        EXPECT_EQ(ca->entry_count(), cb->entry_count()) << p << "/" << s;
+        EXPECT_EQ(ca->used_bytes(), cb->used_bytes()) << p << "/" << s;
+        EXPECT_EQ(ca->hits(), cb->hits()) << p << "/" << s;
+        EXPECT_EQ(ca->misses(), cb->misses()) << p << "/" << s;
+        EXPECT_EQ(ca->evictions(), cb->evictions()) << p << "/" << s;
+      }
     }
   }
   // The continuous-profiling windows are part of the determinism contract

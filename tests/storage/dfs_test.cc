@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/thread_pool.h"
+
 #include "net/fault.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -131,6 +135,94 @@ TEST_F(DfsTest, PrewarmZipfWarmsHotBlocks) {
   EXPECT_EQ(hot_tier, Tier::kRam);
   EXPECT_EQ(warm_tier, Tier::kSsd);
   EXPECT_EQ(cold_tier, Tier::kHdd);
+}
+
+/** A DFS on a private event kernel and fabric, for side-by-side runs. */
+struct DfsPlane {
+  explicit DfsPlane(const DfsParams& params)
+      : rpc(&simulator, &network, Rng(2)),
+        dfs(&simulator, &rpc, params, Rng(3)) {}
+  sim::Simulator simulator;
+  net::NetworkModel network;
+  net::RpcSystem rpc;
+  DistributedFileSystem dfs;
+};
+
+void ExpectSameCache(const LruCache& a, const LruCache& b, uint64_t ids,
+                     const char* what) {
+  EXPECT_EQ(a.entry_count(), b.entry_count()) << what;
+  EXPECT_EQ(a.used_bytes(), b.used_bytes()) << what;
+  EXPECT_EQ(a.hits(), b.hits()) << what;
+  EXPECT_EQ(a.misses(), b.misses()) << what;
+  EXPECT_EQ(a.evictions(), b.evictions()) << what;
+  for (uint64_t id = 0; id < ids; ++id) {
+    ASSERT_EQ(a.Contains(id), b.Contains(id)) << what << " id " << id;
+  }
+}
+
+void ExpectSameStores(const DistributedFileSystem& a,
+                      const DistributedFileSystem& b, uint64_t ids) {
+  ASSERT_EQ(a.num_fileservers(), b.num_fileservers());
+  for (uint32_t s = 0; s < a.num_fileservers(); ++s) {
+    SCOPED_TRACE(testing::Message() << "fileserver " << s);
+    ExpectSameCache(a.server_store(s).ram_cache(),
+                    b.server_store(s).ram_cache(), ids, "RAM");
+    ExpectSameCache(a.server_store(s).ssd_cache(),
+                    b.server_store(s).ssd_cache(), ids, "SSD");
+    for (Tier tier : {Tier::kRam, Tier::kSsd, Tier::kHdd}) {
+      EXPECT_EQ(a.server_store(s).tier_reads(tier),
+                b.server_store(s).tier_reads(tier));
+    }
+  }
+}
+
+TEST_F(DfsTest, PooledPrewarmMatchesSerialPrewarm) {
+  // Both tiers overflow during the fill (4 KiB blocks: 256 fit in RAM and
+  // 2048 on SSD per fileserver), so eviction order is part of the check.
+  // An odd fileserver count and a pool smaller than the fill count keep
+  // the pooled schedule unlike the serial one.
+  DfsParams params = SmallParams();
+  params.num_fileservers = 5;
+  ThreadPool pool(3);
+  const uint64_t kIds = 30000;
+  DfsPlane serial(params), pooled(params);
+  serial.dfs.PrewarmZipf(/*ram_blocks=*/3000, /*ssd_blocks=*/20000, 4096);
+  pooled.dfs.PrewarmZipf(3000, 20000, 4096, &pool);
+  ExpectSameStores(serial.dfs, pooled.dfs, kIds);
+
+  // A mixed read/write stream over hot and cold ids must then hit, miss,
+  // admit and evict identically.
+  Rng ids(17);
+  for (int i = 0; i < 4000; ++i) {
+    const uint64_t id = ids.NextBounded(kIds);
+    for (DfsPlane* plane : {&serial, &pooled}) {
+      if (i % 5 == 0) {
+        plane->dfs.Write(client_, id, 4096, /*replication=*/2,
+                         [](const IoResult&) {});
+      } else {
+        plane->dfs.Read(client_, id, 4096, [](const IoResult&) {});
+      }
+    }
+  }
+  serial.simulator.Run();
+  pooled.simulator.Run();
+  ExpectSameStores(serial.dfs, pooled.dfs, kIds);
+  EXPECT_EQ(serial.simulator.Now(), pooled.simulator.Now());
+}
+
+TEST_F(DfsTest, PrewarmKeepsRamWithinTheSsdPrefix) {
+  // RAM warms only ids that also go to SSD, with or without a pool.
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    DfsPlane plane(SmallParams());
+    plane.dfs.PrewarmZipf(/*ram_blocks=*/40, /*ssd_blocks=*/10, 4096, p);
+    for (uint64_t id = 0; id < 40; ++id) {
+      const TieredStore& store =
+          plane.dfs.server_store(plane.dfs.HomeServer(id));
+      EXPECT_EQ(store.ram_cache().Contains(id), id < 10) << id;
+      EXPECT_EQ(store.ssd_cache().Contains(id), id < 10) << id;
+    }
+  }
 }
 
 TEST_F(DfsTest, TierServeFractionsAggregateAcrossServers) {

@@ -192,5 +192,53 @@ TEST(LruCacheTest, MatchesReferenceModelUnderChurn) {
   }
 }
 
+TEST(LruCacheTest, PresizedCacheMatchesUnsized) {
+  // Reserve only sizes the hash table: every return value, counter and
+  // residency bit must match a cache that grew on demand, whether the
+  // reservation is short, exact or generous, and made before or during use.
+  for (size_t reserve : {0, 3, 64, 700, 5000}) {
+    LruCache plain(8192);
+    LruCache sized(8192);
+    sized.Reserve(reserve);
+    std::mt19937_64 rng(99 + reserve);
+    for (int step = 0; step < 50000; ++step) {
+      if (step == 20000) sized.Reserve(2 * reserve);
+      const uint64_t id = rng() % 1024;
+      switch (rng() % 4) {
+        case 0:
+          ASSERT_EQ(sized.Touch(id), plain.Touch(id));
+          break;
+        case 1:
+        case 2: {
+          const uint64_t bytes = 1 + rng() % 64;
+          ASSERT_EQ(sized.Insert(id, bytes), plain.Insert(id, bytes));
+          break;
+        }
+        case 3:
+          ASSERT_EQ(sized.Erase(id), plain.Erase(id));
+          break;
+      }
+      ASSERT_EQ(sized.used_bytes(), plain.used_bytes());
+      ASSERT_EQ(sized.entry_count(), plain.entry_count());
+    }
+    EXPECT_EQ(sized.hits(), plain.hits()) << reserve;
+    EXPECT_EQ(sized.misses(), plain.misses()) << reserve;
+    EXPECT_EQ(sized.evictions(), plain.evictions()) << reserve;
+    for (uint64_t id = 0; id < 1024; ++id) {
+      ASSERT_EQ(sized.Contains(id), plain.Contains(id)) << "id " << id;
+    }
+    // Push fresh blocks through both: they must evict the same residents
+    // in the same (LRU) order.
+    for (uint64_t k = 0; k < 200; ++k) {
+      const uint64_t fresh = (1 << 20) + k;
+      ASSERT_EQ(sized.Insert(fresh, 64), plain.Insert(fresh, 64));
+      ASSERT_EQ(sized.evictions(), plain.evictions());
+      for (uint64_t id = 0; id < 1024; ++id) {
+        ASSERT_EQ(sized.Contains(id), plain.Contains(id)) << "id " << id;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hyperprof::storage
