@@ -1,6 +1,7 @@
 #include "storage/provisioning.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,13 @@ struct RatioCase {
   double paper_ssd_per_ram;
   double paper_hdd_per_ram;
 };
+
+// Without this, gtest prints the raw bytes of the case, which include the
+// platform pointer, so test names would change with every load address.
+void PrintTo(const RatioCase& c, std::ostream* os) {
+  *os << c.platform << " SSD:RAM " << c.paper_ssd_per_ram << " HDD:RAM "
+      << c.paper_hdd_per_ram;
+}
 
 class Table1Test : public ::testing::TestWithParam<RatioCase> {};
 
