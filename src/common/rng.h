@@ -138,6 +138,12 @@ class ZipfSampler {
   double Acceptance(size_t i) const { return prob_[i]; }
   size_t Alias(size_t i) const { return alias_[i]; }
 
+  /** Heap bytes held by the alias table. */
+  uint64_t memory_bytes() const {
+    return prob_.capacity() * sizeof(double) +
+           alias_.capacity() * sizeof(uint32_t);
+  }
+
  private:
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;

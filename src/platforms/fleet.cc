@@ -166,18 +166,18 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) {
       slot.simulator.get(), slot.network.get(), shard_rng.Fork());
   slot.dfs = std::make_unique<storage::DistributedFileSystem>(
       slot.simulator.get(), slot.rpc.get(), config_.dfs, shard_rng.Fork());
-  // Paper-scale block spaces build the sampler and warm the caches on a
-  // set-up pool of config_.parallelism threads. Both give exactly what a
-  // serial build gives; small block spaces stay serial and start no
-  // threads, since a pool would cost more than it saves.
+  // Paper-scale block spaces build the sampler on a set-up pool of
+  // config_.parallelism threads, which gives exactly what a serial build
+  // gives; small block spaces stay serial and start no threads, since a
+  // pool would cost more than it saves.
   const PlatformSpec& spec = slot.spec;
   std::unique_ptr<ThreadPool> pool;
   const size_t threads = ThreadPool::ResolveParallelism(config_.parallelism);
   if (threads > 1 && spec.block_space >= kParallelSetupMinBlocks) {
     pool = std::make_unique<ThreadPool>(threads);
   }
-  // The sampler and the caches share nothing, so the two builds overlap:
-  // the sampler's serial alias pairing runs while other threads fill.
+  // The sampler and the caches share nothing, so the cheap prewarm runs
+  // alongside the sampler build.
   ForEachIndex(pool.get(), 2, [&](size_t job) {
     if (job == 0) {
       slot.block_sampler = std::make_unique<ZipfSampler>(
@@ -191,8 +191,7 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) {
         spec.ram_hit_target, spec.block_space, spec.block_zipf_s);
     const uint64_t ssd_blocks = storage::MinKeysForMass(
         spec.ram_ssd_hit_target, spec.block_space, spec.block_zipf_s);
-    slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, spec.typical_block_bytes,
-                          pool.get());
+    slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, spec.typical_block_bytes);
   });
 }
 
@@ -771,6 +770,8 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
         stats.profiler_bytes += slot->continuous->memory_bytes();
       }
     }
+    stats.storage_bytes += slot->dfs->memory_bytes();
+    stats.sampler_bytes += slot->block_sampler->memory_bytes();
     // Four clusters of worker hosts per platform region (the client and
     // fan-out draw space of the engine).
     stats.simulated_workers += 4ULL * config_.worker_hosts;

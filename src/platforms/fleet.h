@@ -177,12 +177,21 @@ struct ShardStats {
   uint64_t late_deliveries = 0;
 };
 
-/** Simulation-state memory accounting across the whole fleet. */
+/**
+ * Simulation-state memory accounting across the whole fleet.
+ *
+ * `total_bytes` (and so `bytes_per_worker`) covers the per-worker state
+ * only — kernels, tracers and profilers — which is what grows with the
+ * modeled worker fleet. The storage plane and the block samplers are
+ * reported beside it: they scale with the block space, not the workers.
+ */
 struct FleetMemoryStats {
   uint64_t kernel_bytes = 0;    // event heaps + slot tables
   uint64_t tracer_bytes = 0;    // open slots + retained traces
   uint64_t profiler_bytes = 0;  // samples + symbol tables
-  uint64_t total_bytes = 0;
+  uint64_t total_bytes = 0;     // kernel + tracer + profiler
+  uint64_t storage_bytes = 0;   // fileserver cache tables, slots, detached sets
+  uint64_t sampler_bytes = 0;   // block-sampler alias tables
   uint64_t simulated_workers = 0;  // worker hosts modeled fleet-wide
   double bytes_per_worker = 0;     // total_bytes / simulated_workers
 };

@@ -4,20 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace hyperprof::storage {
-
-namespace {
-
-uint64_t MixBlockId(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
 
 DistributedFileSystem::DistributedFileSystem(sim::Simulator* sim,
                                              net::RpcSystem* rpc,
@@ -31,8 +18,7 @@ DistributedFileSystem::DistributedFileSystem(sim::Simulator* sim,
 }
 
 uint32_t DistributedFileSystem::HomeServer(uint64_t block_id) const {
-  return static_cast<uint32_t>(MixBlockId(block_id) %
-                               params_.num_fileservers);
+  return storage::HomeServer(block_id, params_.num_fileservers);
 }
 
 net::NodeId DistributedFileSystem::ServerNode(uint32_t index) const {
@@ -42,38 +28,30 @@ net::NodeId DistributedFileSystem::ServerNode(uint32_t index) const {
 
 void DistributedFileSystem::PrewarmZipf(uint64_t ram_blocks,
                                         uint64_t ssd_blocks,
-                                        uint64_t block_bytes,
-                                        ThreadPool* pool) {
+                                        uint64_t block_bytes) {
   // RAM warms only ids that SSD warms too.
   ram_blocks = std::min(ram_blocks, ssd_blocks);
   const uint32_t servers = params_.num_fileservers;
-  // Each warmed id's home server, hashed once for every fill below.
-  std::vector<uint32_t> home(ssd_blocks);
-  ForEachRange(pool, ssd_blocks, [this, &home](size_t begin, size_t end) {
-    for (size_t id = begin; id < end; ++id) home[id] = HomeServer(id);
-  });
-  // One fill per (server, tier) cache, inserting that cache's blocks in
-  // increasing id order exactly as a single serial pass would. No two
-  // fills share a cache, so they may run in any order, on any thread, and
-  // leave the same state; each also keeps to one cache's memory.
-  ForEachIndex(pool, 2 * size_t{servers}, [&](size_t fill) {
-    const uint32_t server = static_cast<uint32_t>(fill / 2);
-    const Tier tier = fill % 2 == 0 ? Tier::kSsd : Tier::kRam;
-    const uint64_t limit = tier == Tier::kSsd ? ssd_blocks : ram_blocks;
+  std::vector<uint64_t> ram_owned(servers, 0);
+  std::vector<uint64_t> ssd_owned(servers, 0);
+  for (uint64_t id = 0; id < ssd_blocks; ++id) {
+    const uint32_t home = HomeServer(id);
+    ++ssd_owned[home];
+    if (id < ram_blocks) ++ram_owned[home];
+  }
+  for (uint32_t server = 0; server < servers; ++server) {
     TieredStore& store = *stores_[server];
-    const LruCache& cache =
-        tier == Tier::kSsd ? store.ssd_cache() : store.ram_cache();
-    uint64_t blocks = static_cast<uint64_t>(
-        std::count(home.begin(), home.begin() + limit, server));
-    // The cache holds at most capacity / block_bytes of these blocks.
-    if (block_bytes > 0) {
-      blocks = std::min(blocks, cache.capacity_bytes() / block_bytes);
-    }
-    store.ReservePrewarm(tier, blocks);
-    for (uint64_t id = 0; id < limit; ++id) {
-      if (home[id] == server) store.Prewarm(id, block_bytes, tier);
-    }
-  });
+    store.PrewarmPrefix(Tier::kSsd, {ssd_blocks, server, servers,
+                                     block_bytes, ssd_owned[server]});
+    store.PrewarmPrefix(Tier::kRam, {ram_blocks, server, servers,
+                                     block_bytes, ram_owned[server]});
+  }
+}
+
+uint64_t DistributedFileSystem::memory_bytes() const {
+  uint64_t total = 0;
+  for (const auto& store : stores_) total += store->memory_bytes();
+  return total;
 }
 
 void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,

@@ -13,10 +13,6 @@
 #include "sim/simulator.h"
 #include "storage/tiered_store.h"
 
-namespace hyperprof {
-class ThreadPool;
-}  // namespace hyperprof
-
 namespace hyperprof::storage {
 
 /** Outcome of a distributed read or write. */
@@ -106,17 +102,23 @@ class DistributedFileSystem {
    * ids [ram_blocks, ssd_blocks) to SSD only. Models the steady state a
    * production fleet runs in rather than an all-cold start.
    *
-   * A non-null `pool` fills the fileservers' caches concurrently. Each
-   * cache still receives its blocks in increasing id order, so every
-   * cache ends in the same state as with no pool.
+   * One counting pass over the ids finds how many each fileserver owns;
+   * each cache then takes its share as a WarmPrefix descriptor instead of
+   * one entry per block, so set-up time and memory do not grow with the
+   * warmed range. Every cache behaves as if each block had been inserted
+   * in increasing id order.
    */
   void PrewarmZipf(uint64_t ram_blocks, uint64_t ssd_blocks,
-                   uint64_t block_bytes, ThreadPool* pool = nullptr);
+                   uint64_t block_bytes);
 
   const TieredStore& server_store(uint32_t index) const {
     return *stores_[index];
   }
+  TieredStore& server_store(uint32_t index) { return *stores_[index]; }
   uint32_t num_fileservers() const { return params_.num_fileservers; }
+
+  /** Heap bytes held by every fileserver's caches. */
+  uint64_t memory_bytes() const;
 
   /** Aggregate fraction of reads served by each tier across all servers. */
   double TierServeFraction(Tier tier) const;

@@ -1,5 +1,7 @@
 #include "storage/lru_cache.h"
 
+#include <algorithm>
+
 namespace hyperprof::storage {
 
 namespace {
@@ -89,9 +91,15 @@ void LruCache::RemoveSlot(uint32_t slot) {
 }
 
 void LruCache::EvictUntilFits(uint64_t incoming_bytes) {
-  while (tail_ != kNil &&
-         used_bytes_ + incoming_bytes > capacity_bytes_) {
-    RemoveSlot(tail_);
+  // Warm blocks are older than every stored one, so they go first.
+  while (used_bytes_ + incoming_bytes > capacity_bytes_) {
+    if (warm_live_ > 0) {
+      EvictOldestWarm();
+    } else if (tail_ != kNil) {
+      RemoveSlot(tail_);
+    } else {
+      break;
+    }
     ++evictions_;
   }
 }
@@ -108,18 +116,132 @@ void LruCache::Rehash(size_t cells) {
   table_.swap(fresh);
 }
 
-void LruCache::Reserve(size_t entries) {
-  // The size the growth rule in Insert reaches after `entries` inserts.
-  size_t cells = kInitialTableCells;
-  while (cells < entries * 2) cells *= 2;
-  if (cells > table_.size()) Rehash(cells);
+void LruCache::AddSlot(uint64_t block_id, uint64_t bytes) {
+  // Max load factor 1/2: cells are 4 bytes, so doubling early buys short
+  // probe chains for almost nothing.
+  const size_t stored = slots_.size() - free_slots_.size();
+  if ((stored + 1) * 2 > table_.size()) {
+    Rehash(table_.empty() ? kInitialTableCells : table_.size() * 2);
+  }
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot].block_id = block_id;
+  slots_[slot].bytes = bytes;
+  LinkFront(slot);
+  const size_t mask = table_.size() - 1;
+  size_t at = Mix(block_id) & mask;
+  while (table_[at] != 0) at = (at + 1) & mask;
+  table_[at] = slot + 1;
+  used_bytes_ += bytes;
+  ++entry_count_;
+}
+
+bool LruCache::Owned(uint64_t block_id) const {
+  return block_id < warm_.limit &&
+         HomeServer(block_id, warm_.servers) == warm_.server;
+}
+
+bool LruCache::IsWarm(uint64_t block_id) const {
+  return warm_live_ > 0 && block_id >= warm_cursor_ && Owned(block_id) &&
+         !IsDetached(block_id);
+}
+
+bool LruCache::IsDetached(uint64_t block_id) const {
+  if (detached_.empty()) return false;
+  const size_t mask = detached_.size() - 1;
+  for (size_t at = Mix(block_id) & mask; detached_[at] != kNoId;
+       at = (at + 1) & mask) {
+    if (detached_[at] == block_id) return true;
+  }
+  return false;
+}
+
+void LruCache::ReleaseWarm() {
+  --warm_live_;
+  --entry_count_;
+  used_bytes_ -= warm_.block_bytes;
+  if (warm_live_ == 0) {
+    // The prefix is spent: no id can be warm again, so drop the set (a
+    // later Prewarm of the then-empty cache starts from an empty set).
+    std::vector<uint64_t>().swap(detached_);
+    detached_count_ = 0;
+  }
+}
+
+void LruCache::PlaceDetached(uint64_t block_id) {
+  const size_t mask = detached_.size() - 1;
+  size_t at = Mix(block_id) & mask;
+  while (detached_[at] != kNoId) at = (at + 1) & mask;
+  detached_[at] = block_id;
+}
+
+void LruCache::Detach(uint64_t block_id) {
+  ReleaseWarm();
+  if (warm_live_ == 0) return;
+  // Same load factor and growth as the slot table.
+  if ((detached_count_ + 1) * 2 > detached_.size()) {
+    std::vector<uint64_t> old(
+        detached_.empty() ? kInitialTableCells : detached_.size() * 2, kNoId);
+    old.swap(detached_);
+    for (const uint64_t id : old) {
+      if (id != kNoId) PlaceDetached(id);
+    }
+  }
+  PlaceDetached(block_id);
+  ++detached_count_;
+}
+
+void LruCache::EvictOldestWarm() {
+  while (!Owned(warm_cursor_) || IsDetached(warm_cursor_)) ++warm_cursor_;
+  ++warm_cursor_;
+  ReleaseWarm();
+}
+
+void LruCache::Prewarm(const WarmPrefix& prefix) {
+  if (entry_count_ > 0) {
+    for (uint64_t id = 0; id < prefix.limit; ++id) {
+      if (HomeServer(id, prefix.servers) == prefix.server) {
+        Insert(id, prefix.block_bytes);
+      }
+    }
+    return;
+  }
+  if (prefix.block_bytes > capacity_bytes_) return;  // Insert admits none
+  uint64_t live = prefix.owned;
+  if (prefix.block_bytes > 0) {
+    live = std::min(live, capacity_bytes_ / prefix.block_bytes);
+  }
+  // The Insert loop would evict the lowest ids to make room for the rest.
+  const uint64_t skipped = prefix.owned - live;
+  evictions_ += skipped;
+  warm_ = prefix;
+  warm_cursor_ = 0;
+  for (uint64_t seen = 0; seen < skipped; ++warm_cursor_) {
+    if (Owned(warm_cursor_)) ++seen;
+  }
+  warm_live_ = live;
+  entry_count_ += live;
+  used_bytes_ += live * prefix.block_bytes;
 }
 
 bool LruCache::Touch(uint64_t block_id) {
   const size_t cell = FindCell(block_id);
   if (cell == kNpos) {
-    ++misses_;
-    return false;
+    if (!IsWarm(block_id)) {
+      ++misses_;
+      return false;
+    }
+    // The hit promotes the block to MRU, out of the warm prefix.
+    ++hits_;
+    Detach(block_id);
+    AddSlot(block_id, warm_.block_bytes);
+    return true;
   }
   ++hits_;
   const uint32_t slot = table_[cell] - 1;
@@ -145,47 +267,44 @@ bool LruCache::Insert(uint64_t block_id, uint64_t bytes) {
     EvictUntilFits(0);
     return true;
   }
+  if (IsWarm(block_id)) {
+    // A refresh: the block moves to MRU at its new size.
+    Detach(block_id);
+    AddSlot(block_id, bytes);
+    EvictUntilFits(0);
+    return true;
+  }
   EvictUntilFits(bytes);
-  // Max load factor 1/2: cells are 4 bytes, so doubling early buys short
-  // probe chains for almost nothing.
-  if ((entry_count_ + 1) * 2 > table_.size()) {
-    Rehash(table_.empty() ? kInitialTableCells : table_.size() * 2);
-  }
-  uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].block_id = block_id;
-  slots_[slot].bytes = bytes;
-  LinkFront(slot);
-  const size_t mask = table_.size() - 1;
-  size_t at = Mix(block_id) & mask;
-  while (table_[at] != 0) at = (at + 1) & mask;
-  table_[at] = slot + 1;
-  used_bytes_ += bytes;
-  ++entry_count_;
+  AddSlot(block_id, bytes);
   return true;
 }
 
 bool LruCache::Erase(uint64_t block_id) {
   const size_t cell = FindCell(block_id);
-  if (cell == kNpos) return false;
-  RemoveSlot(table_[cell] - 1);
+  if (cell != kNpos) {
+    RemoveSlot(table_[cell] - 1);
+    return true;
+  }
+  if (!IsWarm(block_id)) return false;
+  Detach(block_id);
   return true;
 }
 
 bool LruCache::Contains(uint64_t block_id) const {
-  return FindCell(block_id) != kNpos;
+  return FindCell(block_id) != kNpos || IsWarm(block_id);
 }
 
 double LruCache::HitRate() const {
   const uint64_t total = hits_ + misses_;
   return total == 0 ? 0.0
                     : static_cast<double>(hits_) / static_cast<double>(total);
+}
+
+uint64_t LruCache::memory_bytes() const {
+  return table_.capacity() * sizeof(uint32_t) +
+         slots_.capacity() * sizeof(Slot) +
+         free_slots_.capacity() * sizeof(uint32_t) +
+         detached_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace hyperprof::storage

@@ -9,8 +9,8 @@ namespace hyperprof::storage {
 /**
  * Generalized harmonic number H(k, s) = sum_{i=1..k} i^-s.
  *
- * Exact summation below one million terms; exact head plus integral tail
- * above (relative error < 1e-6 for the skews used here). This is the
+ * Exact summation up to ten thousand terms; exact head plus integral tail
+ * beyond (relative error < 1e-6 for the skews used here). This is the
  * popularity mass function of a Zipf(s) distribution.
  */
 double GeneralizedHarmonic(uint64_t k, double s);
@@ -22,8 +22,9 @@ double ZipfMassFraction(uint64_t k, uint64_t n, double s);
 
 /**
  * Smallest key count whose cumulative Zipf mass reaches `target_mass`.
- * Binary search over ZipfMassFraction; returns n when the target is
- * unreachable.
+ * Binary search over ZipfMassFraction (with the exact head and H(n, s)
+ * computed once, giving the same values bit for bit); returns n when the
+ * target is unreachable.
  */
 uint64_t MinKeysForMass(double target_mass, uint64_t n, double s);
 

@@ -71,13 +71,13 @@ void TieredStore::Prewarm(uint64_t block_id, uint64_t bytes, Tier tier) {
   }
 }
 
-void TieredStore::ReservePrewarm(Tier tier, size_t blocks) {
+void TieredStore::PrewarmPrefix(Tier tier, const WarmPrefix& prefix) {
   switch (tier) {
     case Tier::kRam:
-      ram_.Reserve(blocks);
+      ram_.Prewarm(prefix);
       break;
     case Tier::kSsd:
-      ssd_.Reserve(blocks);
+      ssd_.Prewarm(prefix);
       break;
     case Tier::kHdd:
       break;

@@ -67,15 +67,17 @@ class TieredStore {
   /**
    * Installs a block into the given cache tier without timing or stats —
    * used to start simulations from a warm steady state instead of an
-   * all-cold fleet. No-op for Tier::kHdd (HDD holds everything).
+   * all-cold fleet. No-op for Tier::kHdd (HDD holds everything). The
+   * per-block reference for PrewarmPrefix.
    */
   void Prewarm(uint64_t block_id, uint64_t bytes, Tier tier);
 
   /**
-   * Sizes a cache tier's table for `blocks` blocks about to be prewarmed
-   * (see LruCache::Reserve). No-op for Tier::kHdd.
+   * Warms a cache tier with a whole id range at O(1) cost, leaving the
+   * state a Prewarm call per owned id in increasing order would (see
+   * LruCache::Prewarm). No-op for Tier::kHdd.
    */
-  void ReservePrewarm(Tier tier, size_t blocks);
+  void PrewarmPrefix(Tier tier, const WarmPrefix& prefix);
 
   /** Fraction of reads served by each tier (RAM, SSD, HDD). */
   double TierServeFraction(Tier tier) const;
@@ -90,6 +92,11 @@ class TieredStore {
 
   const LruCache& ram_cache() const { return ram_; }
   const LruCache& ssd_cache() const { return ssd_; }
+
+  /** Heap bytes held by the two caches. */
+  uint64_t memory_bytes() const {
+    return ram_.memory_bytes() + ssd_.memory_bytes();
+  }
 
  private:
   SimTime DeviceTime(const TierParams& tier, uint64_t bytes, Rng& rng) const;

@@ -256,6 +256,9 @@ TEST(FleetShardingTest, MemoryStatsAccountSimulationState) {
   EXPECT_GT(stats.profiler_bytes, 0u);
   EXPECT_EQ(stats.total_bytes,
             stats.kernel_bytes + stats.tracer_bytes + stats.profiler_bytes);
+  // Storage and samplers are reported beside the per-worker total.
+  EXPECT_GT(stats.storage_bytes, 0u);
+  EXPECT_GT(stats.sampler_bytes, 0u);
   // Three platforms x four clusters x the default 64 hosts.
   EXPECT_EQ(stats.simulated_workers, 3u * 4u * 64u);
   EXPECT_GT(stats.bytes_per_worker, 0.0);

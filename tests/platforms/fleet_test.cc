@@ -167,6 +167,18 @@ TEST_F(FleetTest, StorageTiersActuallyExercised) {
   }
 }
 
+TEST(FleetMemoryTest, WarmCachesStoreNoEntryPerWarmBlock) {
+  // Spanner warms about 4.4 M blocks across its fileservers' RAM and SSD
+  // caches. Stored as LRU entries they held about 160 MB; as warm-prefix
+  // descriptors they hold nothing until the run touches them.
+  FleetSimulation fleet;
+  fleet.AddPlatform(SpannerSpec());
+  const FleetMemoryStats stats = fleet.MemoryStats();
+  EXPECT_LT(stats.storage_bytes, uint64_t{32} << 20);
+  EXPECT_GT(stats.sampler_bytes, 0u);
+  EXPECT_GT(fleet.DfsOf(0).server_store(0).ssd_cache().entry_count(), 0u);
+}
+
 TEST_F(FleetTest, SpannerConsensusSpansComeFromRealPaxos) {
   // Every sampled read_write_txn / global_commit trace must contain a
   // consensus remote-work span produced by an actual Paxos round.

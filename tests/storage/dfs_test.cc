@@ -4,8 +4,6 @@
 
 #include <memory>
 
-#include "common/thread_pool.h"
-
 #include "net/fault.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -176,26 +174,38 @@ void ExpectSameStores(const DistributedFileSystem& a,
   }
 }
 
-TEST_F(DfsTest, PooledPrewarmMatchesSerialPrewarm) {
+/**
+ * The per-block reference for PrewarmZipf: every warmed id inserted into
+ * its home fileserver's caches in increasing id order.
+ */
+void EagerPrewarmZipf(DistributedFileSystem& dfs, uint64_t ram_blocks,
+                      uint64_t ssd_blocks, uint64_t block_bytes) {
+  for (uint64_t id = 0; id < ssd_blocks; ++id) {
+    TieredStore& store = dfs.server_store(dfs.HomeServer(id));
+    store.Prewarm(id, block_bytes, Tier::kSsd);
+    if (id < ram_blocks) store.Prewarm(id, block_bytes, Tier::kRam);
+  }
+}
+
+TEST_F(DfsTest, LazyPrewarmMatchesEagerPrewarm) {
   // Both tiers overflow during the fill (4 KiB blocks: 256 fit in RAM and
-  // 2048 on SSD per fileserver), so eviction order is part of the check.
-  // An odd fileserver count and a pool smaller than the fill count keep
-  // the pooled schedule unlike the serial one.
+  // 2048 on SSD per fileserver), so the warm-time evictions are part of
+  // the check. An odd fileserver count keeps the ownership uneven.
   DfsParams params = SmallParams();
   params.num_fileservers = 5;
-  ThreadPool pool(3);
   const uint64_t kIds = 30000;
-  DfsPlane serial(params), pooled(params);
-  serial.dfs.PrewarmZipf(/*ram_blocks=*/3000, /*ssd_blocks=*/20000, 4096);
-  pooled.dfs.PrewarmZipf(3000, 20000, 4096, &pool);
-  ExpectSameStores(serial.dfs, pooled.dfs, kIds);
+  DfsPlane eager(params), lazy(params);
+  EagerPrewarmZipf(eager.dfs, /*ram_blocks=*/3000, /*ssd_blocks=*/20000,
+                   4096);
+  lazy.dfs.PrewarmZipf(3000, 20000, 4096);
+  ExpectSameStores(eager.dfs, lazy.dfs, kIds);
 
   // A mixed read/write stream over hot and cold ids must then hit, miss,
   // admit and evict identically.
   Rng ids(17);
   for (int i = 0; i < 4000; ++i) {
     const uint64_t id = ids.NextBounded(kIds);
-    for (DfsPlane* plane : {&serial, &pooled}) {
+    for (DfsPlane* plane : {&eager, &lazy}) {
       if (i % 5 == 0) {
         plane->dfs.Write(client_, id, 4096, /*replication=*/2,
                          [](const IoResult&) {});
@@ -204,24 +214,23 @@ TEST_F(DfsTest, PooledPrewarmMatchesSerialPrewarm) {
       }
     }
   }
-  serial.simulator.Run();
-  pooled.simulator.Run();
-  ExpectSameStores(serial.dfs, pooled.dfs, kIds);
-  EXPECT_EQ(serial.simulator.Now(), pooled.simulator.Now());
+  eager.simulator.Run();
+  lazy.simulator.Run();
+  ExpectSameStores(eager.dfs, lazy.dfs, kIds);
+  EXPECT_EQ(eager.simulator.Now(), lazy.simulator.Now());
+  // The lazy caches hold only the blocks the stream touched.
+  EXPECT_LT(lazy.dfs.memory_bytes(), eager.dfs.memory_bytes());
 }
 
 TEST_F(DfsTest, PrewarmKeepsRamWithinTheSsdPrefix) {
-  // RAM warms only ids that also go to SSD, with or without a pool.
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    DfsPlane plane(SmallParams());
-    plane.dfs.PrewarmZipf(/*ram_blocks=*/40, /*ssd_blocks=*/10, 4096, p);
-    for (uint64_t id = 0; id < 40; ++id) {
-      const TieredStore& store =
-          plane.dfs.server_store(plane.dfs.HomeServer(id));
-      EXPECT_EQ(store.ram_cache().Contains(id), id < 10) << id;
-      EXPECT_EQ(store.ssd_cache().Contains(id), id < 10) << id;
-    }
+  // RAM warms only ids that also go to SSD.
+  DfsPlane plane(SmallParams());
+  plane.dfs.PrewarmZipf(/*ram_blocks=*/40, /*ssd_blocks=*/10, 4096);
+  for (uint64_t id = 0; id < 40; ++id) {
+    const TieredStore& store =
+        plane.dfs.server_store(plane.dfs.HomeServer(id));
+    EXPECT_EQ(store.ram_cache().Contains(id), id < 10) << id;
+    EXPECT_EQ(store.ssd_cache().Contains(id), id < 10) << id;
   }
 }
 

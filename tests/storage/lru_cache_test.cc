@@ -192,52 +192,135 @@ TEST(LruCacheTest, MatchesReferenceModelUnderChurn) {
   }
 }
 
-TEST(LruCacheTest, PresizedCacheMatchesUnsized) {
-  // Reserve only sizes the hash table: every return value, counter and
-  // residency bit must match a cache that grew on demand, whether the
-  // reservation is short, exact or generous, and made before or during use.
-  for (size_t reserve : {0, 3, 64, 700, 5000}) {
-    LruCache plain(8192);
-    LruCache sized(8192);
-    sized.Reserve(reserve);
-    std::mt19937_64 rng(99 + reserve);
-    for (int step = 0; step < 50000; ++step) {
-      if (step == 20000) sized.Reserve(2 * reserve);
-      const uint64_t id = rng() % 1024;
-      switch (rng() % 4) {
-        case 0:
-          ASSERT_EQ(sized.Touch(id), plain.Touch(id));
-          break;
-        case 1:
-        case 2: {
-          const uint64_t bytes = 1 + rng() % 64;
-          ASSERT_EQ(sized.Insert(id, bytes), plain.Insert(id, bytes));
-          break;
+/** Warms `cache` the eager way: one Insert per owned id, in id order. */
+void EagerPrewarm(LruCache& cache, const WarmPrefix& prefix) {
+  for (uint64_t id = 0; id < prefix.limit; ++id) {
+    if (HomeServer(id, prefix.servers) == prefix.server) {
+      cache.Insert(id, prefix.block_bytes);
+    }
+  }
+}
+
+uint64_t OwnedCount(uint64_t limit, uint32_t server, uint32_t servers) {
+  uint64_t owned = 0;
+  for (uint64_t id = 0; id < limit; ++id) {
+    if (HomeServer(id, servers) == server) ++owned;
+  }
+  return owned;
+}
+
+void ExpectSameCounters(const LruCache& a, const LruCache& b) {
+  ASSERT_EQ(a.used_bytes(), b.used_bytes());
+  ASSERT_EQ(a.entry_count(), b.entry_count());
+  ASSERT_EQ(a.hits(), b.hits());
+  ASSERT_EQ(a.misses(), b.misses());
+  ASSERT_EQ(a.evictions(), b.evictions());
+}
+
+TEST(LruCacheTest, WarmPrefixMatchesEagerInserts) {
+  struct Case {
+    const char* name;
+    uint64_t capacity;
+    uint64_t limit;
+    uint32_t server;
+    uint32_t servers;
+    uint64_t block_bytes;
+    bool used_before;  // the cache holds blocks when warmed
+  };
+  const Case cases[] = {
+      {"fits", 64 * 400, 3000, 3, 16, 64, false},
+      {"overflows at warm time", 64 * 40, 3000, 5, 16, 64, false},
+      {"block larger than the cache", 100, 3000, 1, 16, 200, false},
+      {"zero-byte blocks", 1000, 3000, 2, 16, 0, false},
+      {"empty range", 1000, 0, 0, 16, 64, false},
+      {"one server", 64 * 300, 500, 0, 1, 64, false},
+      {"one server overflowing", 64 * 100, 500, 0, 1, 64, false},
+      {"cache already in use", 64 * 100, 3000, 7, 16, 64, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const WarmPrefix prefix{c.limit, c.server, c.servers, c.block_bytes,
+                            OwnedCount(c.limit, c.server, c.servers)};
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      LruCache eager(c.capacity);
+      LruCache lazy(c.capacity);
+      if (c.used_before) {
+        for (LruCache* cache : {&eager, &lazy}) {
+          cache->Insert(c.limit + 1, 64);
+          cache->Insert(7, 64);
+          cache->Touch(c.limit + 1);
         }
-        case 3:
-          ASSERT_EQ(sized.Erase(id), plain.Erase(id));
-          break;
       }
-      ASSERT_EQ(sized.used_bytes(), plain.used_bytes());
-      ASSERT_EQ(sized.entry_count(), plain.entry_count());
-    }
-    EXPECT_EQ(sized.hits(), plain.hits()) << reserve;
-    EXPECT_EQ(sized.misses(), plain.misses()) << reserve;
-    EXPECT_EQ(sized.evictions(), plain.evictions()) << reserve;
-    for (uint64_t id = 0; id < 1024; ++id) {
-      ASSERT_EQ(sized.Contains(id), plain.Contains(id)) << "id " << id;
-    }
-    // Push fresh blocks through both: they must evict the same residents
-    // in the same (LRU) order.
-    for (uint64_t k = 0; k < 200; ++k) {
-      const uint64_t fresh = (1 << 20) + k;
-      ASSERT_EQ(sized.Insert(fresh, 64), plain.Insert(fresh, 64));
-      ASSERT_EQ(sized.evictions(), plain.evictions());
-      for (uint64_t id = 0; id < 1024; ++id) {
-        ASSERT_EQ(sized.Contains(id), plain.Contains(id)) << "id " << id;
+      EagerPrewarm(eager, prefix);
+      lazy.Prewarm(prefix);
+      ASSERT_NO_FATAL_FAILURE(ExpectSameCounters(lazy, eager));
+      if (!c.used_before) {
+        EXPECT_EQ(lazy.memory_bytes(), 0u);
+      }
+
+      // Mostly ids inside the warm range, so hits detach warm blocks,
+      // misses admit new ones that evict warm blocks, and refreshes and
+      // erases land on both kinds.
+      const uint64_t ids = c.limit + 64;
+      std::mt19937_64 rng(seed * 7919 + c.capacity);
+      for (int step = 0; step < 20000; ++step) {
+        const uint64_t id = rng() % ids;
+        switch (rng() % 6) {
+          case 0:
+          case 1:
+            ASSERT_EQ(lazy.Touch(id), eager.Touch(id)) << "step " << step;
+            break;
+          case 2:
+          case 3: {
+            uint64_t bytes = c.block_bytes;
+            const uint64_t pick = rng() % 8;
+            if (pick == 0) bytes = c.capacity + 1;  // never admitted
+            if (pick >= 5) bytes = rng() % (2 * c.block_bytes + 2);
+            ASSERT_EQ(lazy.Insert(id, bytes), eager.Insert(id, bytes))
+                << "step " << step;
+            break;
+          }
+          case 4:
+            ASSERT_EQ(lazy.Erase(id), eager.Erase(id)) << "step " << step;
+            break;
+          case 5:
+            ASSERT_EQ(lazy.Contains(id), eager.Contains(id))
+                << "step " << step;
+            break;
+        }
+        ASSERT_NO_FATAL_FAILURE(ExpectSameCounters(lazy, eager));
+      }
+      for (uint64_t id = 0; id < ids; ++id) {
+        ASSERT_EQ(lazy.Contains(id), eager.Contains(id)) << "id " << id;
+      }
+      // Fresh blocks must push out the same residents in the same order.
+      for (uint64_t k = 0; k < 100; ++k) {
+        const uint64_t fresh = ids + k;
+        ASSERT_EQ(lazy.Insert(fresh, 64), eager.Insert(fresh, 64));
+        ASSERT_NO_FATAL_FAILURE(ExpectSameCounters(lazy, eager));
+        for (uint64_t id = 0; id < ids; id += 7) {
+          ASSERT_EQ(lazy.Contains(id), eager.Contains(id)) << "id " << id;
+        }
       }
     }
   }
+}
+
+TEST(LruCacheTest, WarmPrefixEvictsLowestIdsFirst) {
+  // Three ids of 100 bytes fill the cache; a new block evicts the lowest
+  // warm id, a touched warm id outlives the untouched ones.
+  LruCache cache(300);
+  cache.Prewarm({/*limit=*/3, /*server=*/0, /*servers=*/1, 100, 3});
+  EXPECT_EQ(cache.entry_count(), 3u);
+  EXPECT_TRUE(cache.Touch(0));
+  cache.Insert(10, 100);
+  EXPECT_TRUE(cache.Contains(0));
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
+  cache.Insert(11, 100);
+  EXPECT_TRUE(cache.Contains(0));
+  EXPECT_FALSE(cache.Contains(2));
+  EXPECT_EQ(cache.evictions(), 2u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <ostream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +71,50 @@ TEST(MinKeysForMassTest, InvertsZipfMass) {
 TEST(MinKeysForMassTest, Extremes) {
   EXPECT_EQ(MinKeysForMass(0.0, 100, 0.9), 0u);
   EXPECT_EQ(MinKeysForMass(1.0, 100, 0.9), 100u);
+}
+
+/** MinKeysForMass as a plain bisection over ZipfMassFraction. */
+uint64_t DirectMinKeysForMass(double target_mass, uint64_t n, double s) {
+  if (target_mass <= 0) return 0;
+  if (target_mass >= 1.0) return n;
+  uint64_t lo = 1, hi = n;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (ZipfMassFraction(mid, n, s) >= target_mass) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(MinKeysForMassTest, MatchesDirectBisection) {
+  // Small n keeps every answer inside the exact head; the targets reach
+  // k < 10 000 as well as the integral tail for the large n. Besides
+  // round targets, each (n, s) gets the exact mass of a few key counts
+  // and its neighbouring doubles, where a mass off by one ulp would move
+  // the answer.
+  for (uint64_t n : {1ULL, 7ULL, 9999ULL, 10000ULL, 10001ULL, 123457ULL,
+                     4ULL << 20}) {
+    for (double s : {0.0, 0.5, 0.85, 1.0, 1.2}) {
+      std::vector<double> targets = {0.0, 1e-6, 0.05, 0.3, 0.5,
+                                     0.8, 0.95, 0.999, 1.0};
+      const uint64_t keys[] = {1, 3, 100, 9999, 10000, 10001, 50000, n - 1};
+      for (uint64_t k : keys) {
+        if (k == 0 || k >= n) continue;
+        const double mass = ZipfMassFraction(k, n, s);
+        targets.push_back(mass);
+        targets.push_back(std::nextafter(mass, 0.0));
+        targets.push_back(std::nextafter(mass, 2.0));
+      }
+      for (double target : targets) {
+        EXPECT_EQ(MinKeysForMass(target, n, s),
+                  DirectMinKeysForMass(target, n, s))
+            << "target " << target << " n " << n << " s " << s;
+      }
+    }
+  }
 }
 
 TEST(ProvisionTest, HigherHitTargetNeedsMoreRam) {
