@@ -187,7 +187,7 @@ uint64_t SteadyStateExchangeAllocs() {
       }
     }
     sim::ShardGroup::RunOptions options;
-    group.Run(options);
+    group.Advance(SimTime::Max(), options);
   };
   // Warm-up: arena cells and *both* sides of the double-buffered
   // mailboxes grow here (each run flips staging and inbox once, so the

@@ -130,6 +130,51 @@ void PairAliases(std::vector<double>& prob, std::vector<uint32_t>& alias) {
   for (uint32_t s : small) prob[s] = 1.0;
 }
 
+/**
+ * PairAliases without its worklists, for the case where the small columns
+ * (scaled weight below 1) are exactly a suffix [k, n), as with any
+ * non-increasing weights such as Zipf's. The large stack only ever takes
+ * back the column it just gave up, so it is always a prefix [0, top) of
+ * [0, k); the small stack is the unpopped part of [k, n) plus at most one
+ * column demoted from the large stack, which is popped next. Same pops in
+ * the same order, so the table is bit-identical to PairAliases. Returns
+ * false, changing nothing, when the small columns are not a suffix.
+ *
+ * At paper scale the two worklists were the set-up's largest transient
+ * buffers; freeing them raised glibc's dynamic mmap threshold, so whether
+ * later buffers of that size were mapped or carved from a thread's arena
+ * depended on which thread built which sampler, and peak RSS moved by a
+ * worklist's size from run to run.
+ */
+bool PairSuffixAliases(std::vector<double>& prob,
+                       std::vector<uint32_t>& alias) {
+  const size_t n = prob.size();
+  size_t k = 0;
+  while (k < n && !(prob[k] < 1.0)) ++k;
+  for (size_t i = k; i < n; ++i) {
+    if (!(prob[i] < 1.0)) return false;
+  }
+  size_t small_top = n;  // unpopped original small columns: [k, small_top)
+  size_t large_top = k;  // the large stack: [0, large_top)
+  bool demoted = false;  // column large_top sits on top of the small stack
+  while ((demoted || small_top > k) && large_top > 0) {
+    const size_t s = demoted ? large_top : --small_top;
+    const size_t l = --large_top;
+    demoted = false;
+    alias[s] = static_cast<uint32_t>(l);
+    prob[l] = prob[l] + prob[s] - 1.0;
+    if (prob[l] < 1.0) {
+      demoted = true;
+    } else {
+      ++large_top;
+    }
+  }
+  for (size_t l = 0; l < large_top; ++l) prob[l] = 1.0;
+  for (size_t s = k; s < small_top; ++s) prob[s] = 1.0;
+  if (demoted) prob[large_top] = 1.0;
+  return true;
+}
+
 }  // namespace
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
@@ -191,7 +236,7 @@ ZipfSampler::ZipfSampler(size_t n, double s, ThreadPool* pool)
                    prob_[i] = prob_[i] / total * count;
                  }
                });
-  PairAliases(prob_, alias_);
+  if (!PairSuffixAliases(prob_, alias_)) PairAliases(prob_, alias_);
 }
 
 size_t ZipfSampler::Sample(Rng& rng) const {

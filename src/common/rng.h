@@ -126,7 +126,9 @@ class ZipfSampler {
   /**
    * A non-null `pool` computes the weights and the scale step in parallel.
    * The total is summed serially in rank order and the alias pairing is
-   * serial, so the table is bit-identical with or without a pool.
+   * serial, so the table is bit-identical with or without a pool. When the
+   * columns below 1 form a suffix, as they do for s >= 0, the pairing needs
+   * no scratch memory beyond the table.
    */
   ZipfSampler(size_t n, double s, ThreadPool* pool = nullptr);
 

@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/strings.h"
-
 namespace hyperprof {
 
 void RunningStat::Add(double x) {
@@ -55,7 +53,7 @@ namespace {
 // Merging sketches with different geometries silently corrupts quantiles
 // (the bucket indices mean different values), so the contract is enforced
 // with a hard abort in every build mode — an assert would vanish under
-// NDEBUG, which is exactly how the original LogHistogram::Merge bug shipped.
+// NDEBUG, which is exactly how the original histogram Merge bug shipped.
 [[noreturn]] void SketchGeometryMismatch(const SketchGeometry& a,
                                          const SketchGeometry& b) {
   std::fprintf(stderr,
@@ -152,19 +150,6 @@ double LatencySketch::Quantile(double q) const {
 
 size_t LatencySketch::memory_bytes() const {
   return sizeof(*this) + counts_.capacity() * sizeof(counts_[0]);
-}
-
-LogHistogram::LogHistogram(double min_value, int buckets_per_decade,
-                           int decades)
-    : sketch_(SketchGeometry{min_value, buckets_per_decade, decades}) {}
-
-std::string LogHistogram::Summary() const {
-  return StrFormat("n=%llu mean=%s p50=%s p90=%s p99=%s",
-                   static_cast<unsigned long long>(count()),
-                   HumanSeconds(mean()).c_str(),
-                   HumanSeconds(Quantile(0.5)).c_str(),
-                   HumanSeconds(Quantile(0.9)).c_str(),
-                   HumanSeconds(Quantile(0.99)).c_str());
 }
 
 std::vector<double> NormalizeToFractions(const std::vector<double>& weights) {

@@ -1,8 +1,8 @@
 #ifndef HYPERPROF_COMMON_STATS_H_
 #define HYPERPROF_COMMON_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace hyperprof {
@@ -54,6 +54,12 @@ struct SketchGeometry {
     return static_cast<size_t>(buckets_per_decade) * decades + 1;
   }
 };
+
+/**
+ * Latency geometry of RPC and load-generator histograms (seconds): 1 ns
+ * to 10^6 s at 20 buckets per decade, so one bucket is ~12% wide.
+ */
+inline constexpr SketchGeometry kLatencyHistogramGeometry{1e-9, 20, 15};
 
 /**
  * Mergeable log-bucketed quantile sketch.
@@ -122,43 +128,6 @@ class LatencySketch {
   uint64_t underflow_ = 0;
   uint64_t nonfinite_ = 0;
   double sum_ = 0.0;
-};
-
-/**
- * Log-bucketed histogram for latency-like positive values.
- *
- * Buckets grow geometrically from `min_value` with `buckets_per_decade`
- * buckets per factor-of-10, the standard shape for RPC latency telemetry.
- * Quantiles are answered by linear interpolation within a bucket.
- *
- * A thin wrapper over LatencySketch preserving the historical API and
- * default geometry; count() includes underflow samples but not non-finite
- * ones.
- */
-class LogHistogram {
- public:
-  explicit LogHistogram(double min_value = 1e-9,
-                        int buckets_per_decade = 20,
-                        int decades = 15);
-
-  void Add(double value) { sketch_.Add(value); }
-
-  /** Aborts on geometry mismatch in all build modes (merge contract). */
-  void Merge(const LogHistogram& other) { sketch_.Merge(other.sketch_); }
-
-  uint64_t count() const { return sketch_.count(); }
-  uint64_t nonfinite() const { return sketch_.nonfinite(); }
-  double sum() const { return sketch_.sum(); }
-  double mean() const { return sketch_.mean(); }
-
-  /** Value at quantile q in [0, 1]; 0.5 is the median. */
-  double Quantile(double q) const { return sketch_.Quantile(q); }
-
-  /** Renders count/mean/p50/p90/p99 on one line. */
-  std::string Summary() const;
-
- private:
-  LatencySketch sketch_;
 };
 
 /**

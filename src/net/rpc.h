@@ -183,7 +183,7 @@ class RpcSystem {
   double wasted_seconds() const { return wasted_seconds_; }
 
   /** Distribution of end-to-end times of successful attempts (seconds). */
-  const LogHistogram& latency_histogram() const { return latency_hist_; }
+  const LatencySketch& latency_histogram() const { return latency_hist_; }
 
   /**
    * Observed latency quantile as a SimTime — the production recipe for
@@ -237,7 +237,7 @@ class RpcSystem {
   uint64_t timeouts_fired_ = 0;
   uint64_t cancelled_attempts_ = 0;
   double wasted_seconds_ = 0;
-  LogHistogram latency_hist_;
+  LatencySketch latency_hist_{kLatencyHistogramGeometry};
 };
 
 }  // namespace hyperprof::net

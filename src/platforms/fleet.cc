@@ -196,7 +196,7 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) {
 }
 
 void FleetSimulation::AddPlatform(PlatformSpec spec) {
-  assert(!ran_);
+  assert(!started_);
   if (config_.shards_per_platform > 0) {
     AddShardedPlatform(std::move(spec));
     return;
@@ -339,54 +339,6 @@ void FleetSimulation::AddDefaultPlatforms() {
   AddPlatform(BigQuerySpec());
 }
 
-void FleetSimulation::RunSlot(size_t index, bool parallel) {
-  PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) {
-    for (auto& worker : slot.workers) {
-      worker->engine->Run(config_.queries_per_platform,
-                          config_.arrival_rate_qps, []() {});
-    }
-    sim::ShardGroup::RunOptions options;
-    options.parallel = parallel;
-    options.pin_threads = config_.pin_shard_threads;
-    if (config_.probe_period > SimTime::Zero() && config_.probe) {
-      options.probe_period = config_.probe_period;
-      options.probe = [this, index]() { config_.probe(index); };
-    }
-    // Post-horizon hook for epoch coalescing: workers report their
-    // engine's flagged-event bound; the storage kernel (last) posts only
-    // synchronously inside delivered events, so its own next-event time
-    // is a sound bound (Max when drained).
-    PlatformSlot* slot_ptr = &slot;
-    options.post_horizon = [slot_ptr](uint32_t kernel) -> SimTime {
-      if (kernel < slot_ptr->workers.size()) {
-        return slot_ptr->workers[kernel]->engine->PostHorizon();
-      }
-      return slot_ptr->simulator->next_event_time();
-    };
-    slot.group->Run(options);
-    FinalizePlatform(slot);
-    return;
-  }
-  slot.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
-                   []() {});
-  if (config_.probe_period > SimTime::Zero() && config_.probe) {
-    // Bounded stepping with probe calls between steps. RunUntil executes
-    // the same events in the same order as Run, so stepped and unstepped
-    // shards are bit-identical (the simtest determinism invariant pins
-    // this by comparing probed and unprobed digests).
-    while (slot.simulator->pending_events() > 0) {
-      slot.simulator->RunUntil(slot.simulator->Now() + config_.probe_period);
-      config_.probe(index);
-    }
-  } else {
-    slot.simulator->Run();
-  }
-  // Seal and evaluate the trailing window(s) now that virtual time has
-  // stopped advancing.
-  if (slot.continuous) slot.continuous->Finalize();
-}
-
 void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   // --- Tracer merge: replay worker traces in canonical order ------------
   profiling::TracerOptions options;
@@ -467,49 +419,65 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   }
 }
 
-sim::ShardGroup::RunOptions FleetSimulation::AdvanceOptions(
-    PlatformSlot& slot) const {
-  // Serial, unprobed; the same post-horizon hook as RunSlot so epoch
-  // coalescing — and with it the digested epoch counts — matches a
-  // one-shot run exactly.
-  sim::ShardGroup::RunOptions options;
-  PlatformSlot* slot_ptr = &slot;
-  options.post_horizon = [slot_ptr](uint32_t kernel) -> SimTime {
-    if (kernel < slot_ptr->workers.size()) {
-      return slot_ptr->workers[kernel]->engine->PostHorizon();
-    }
-    return slot_ptr->simulator->next_event_time();
-  };
-  return options;
-}
-
 void FleetSimulation::Start() {
-  assert(!ran_);
-  ran_ = true;
+  assert(!started_);
   started_ = true;
+  // Resolved once: Advance runs on the serving daemon's pump path.
+  host_threads_ = ThreadPool::ResolveParallelism(config_.parallelism);
   if (config_.queries_per_platform == 0) return;  // serving: Submit-driven
-  for (auto& slot_ptr : slots_) {
-    PlatformSlot& slot = *slot_ptr;
-    if (slot.sharded) {
-      for (auto& worker : slot.workers) {
-        worker->engine->Run(config_.queries_per_platform,
-                            config_.arrival_rate_qps, []() {});
-      }
-    } else {
-      slot.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
-                       []() {});
+  for (auto& slot : slots_) {
+    if (!slot->sharded) {
+      slot->engine->Run(config_.queries_per_platform,
+                        config_.arrival_rate_qps, []() {});
+    }
+    for (auto& worker : slot->workers) {
+      worker->engine->Run(config_.queries_per_platform,
+                          config_.arrival_rate_qps, []() {});
     }
   }
 }
 
-bool FleetSimulation::AdvanceSlot(PlatformSlot& slot, SimTime until) {
+bool FleetSimulation::AdvanceSlot(size_t index, SimTime until,
+                                  bool parallel) {
+  PlatformSlot& slot = *slots_[index];
+  const bool probing =
+      config_.probe_period > SimTime::Zero() && config_.probe != nullptr;
   if (slot.sharded) {
-    return slot.group->Advance(until, AdvanceOptions(slot));
+    sim::ShardGroup::RunOptions options;
+    options.parallel = parallel;
+    if (probing) {
+      options.probe_period = config_.probe_period;
+      options.probe = [this, index]() { config_.probe(index); };
+    }
+    // Post-horizon hook for epoch coalescing: workers report their
+    // engine's flagged-event bound; the storage kernel (last) posts only
+    // synchronously inside delivered events, so its own next-event time
+    // is a sound bound (Max when drained).
+    PlatformSlot* slot_ptr = &slot;
+    options.post_horizon = [slot_ptr](uint32_t kernel) -> SimTime {
+      if (kernel < slot_ptr->workers.size()) {
+        return slot_ptr->workers[kernel]->engine->PostHorizon();
+      }
+      return slot_ptr->simulator->next_event_time();
+    };
+    return slot.group->Advance(until, options);
+  }
+  sim::Simulator& kernel = *slot.simulator;
+  if (probing) {
+    // Bounded steps with a probe call after each. RunUntil executes the
+    // same events in the same order as Run, so stepped and unstepped runs
+    // are bit-identical (the simtest determinism invariant pins this by
+    // comparing probed and unprobed digests). The last step stops at
+    // `until`, where the front door admits its next queries.
+    while (kernel.pending_events() > 0 && kernel.Now() < until) {
+      kernel.RunUntil(std::min(until, kernel.Now() + config_.probe_period));
+      config_.probe(index);
+    }
   }
   if (until == SimTime::Max()) {
-    slot.simulator->Run();
+    kernel.Run();
   } else {
-    slot.simulator->RunUntil(until);
+    kernel.RunUntil(until);
     // Seal windows the pause has passed, so live snapshots are fresh.
     // Every observation for a window ending at or before `until` has
     // already arrived (virtual time is monotone and RunUntil is
@@ -517,14 +485,14 @@ bool FleetSimulation::AdvanceSlot(PlatformSlot& slot, SimTime until) {
     // with the same totals as a post-run Finalize — digests don't move.
     if (slot.continuous) slot.continuous->AdvanceTo(until);
   }
-  return slot.simulator->pending_events() > 0;
+  return kernel.pending_events() > 0;
 }
 
 bool FleetSimulation::Advance(SimTime until) {
   assert(started_ && !finished_);
   bool more = false;
-  for (auto& slot_ptr : slots_) {
-    if (AdvanceSlot(*slot_ptr, until)) more = true;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (AdvanceSlot(i, until, host_threads_ > 1)) more = true;
   }
   return more;
 }
@@ -532,40 +500,34 @@ bool FleetSimulation::Advance(SimTime until) {
 void FleetSimulation::Finish() {
   assert(started_ && !finished_);
   finished_ = true;
-  for (auto& slot_ptr : slots_) {
-    PlatformSlot& slot = *slot_ptr;
+  // parallelism <= 1 is the fully serial path: no pool, no shard runner
+  // threads. Otherwise sharded platforms run their kernels on runner
+  // threads and the pool only spreads whole platforms; with several
+  // sharded platforms this oversubscribes cores rather than serializing
+  // kernels — wall-clock only, results are bit-identical either way.
+  auto finish = [this](size_t index) {
+    AdvanceSlot(index, SimTime::Max(), host_threads_ > 1);
+    PlatformSlot& slot = *slots_[index];
     if (slot.sharded) {
-      slot.group->Advance(SimTime::Max(), AdvanceOptions(slot));
       FinalizePlatform(slot);
-    } else {
-      slot.simulator->Run();
-      if (slot.continuous) slot.continuous->Finalize();
+    } else if (slot.continuous) {
+      // Seal and evaluate the trailing window(s) now that virtual time
+      // has stopped advancing.
+      slot.continuous->Finalize();
     }
-  }
-}
-
-void FleetSimulation::RunAll() {
-  assert(!ran_);
-  ran_ = true;
-  // parallelism <= 1 selects the fully serial path: no pool, no shard
-  // runner threads. Otherwise sharded platforms spawn their own
-  // persistent runners (one thread per kernel) and the pool only spreads
-  // whole platforms; with several sharded platforms this oversubscribes
-  // cores rather than serializing kernels — wall-clock only, results are
-  // bit-identical either way.
-  size_t resolved = ThreadPool::ResolveParallelism(config_.parallelism);
-  if (resolved <= 1) {
-    for (size_t i = 0; i < slots_.size(); ++i) RunSlot(i, false);
-    return;
-  }
-  size_t threads = std::min(resolved, slots_.size());
+  };
+  const size_t threads = std::min(host_threads_, slots_.size());
   if (threads <= 1) {
-    for (size_t i = 0; i < slots_.size(); ++i) RunSlot(i, true);
+    for (size_t i = 0; i < slots_.size(); ++i) finish(i);
     return;
   }
   ThreadPool pool(threads);
-  pool.ParallelFor(slots_.size(),
-                   [this](size_t index) { RunSlot(index, true); });
+  pool.ParallelFor(slots_.size(), finish);
+}
+
+void FleetSimulation::RunAll() {
+  Start();
+  Finish();
 }
 
 PlatformResult FleetSimulation::Result(size_t index) const {

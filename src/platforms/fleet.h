@@ -36,10 +36,12 @@ struct FleetConfig {
   SimTime profiler_period = SimTime::Micros(1000);
   double cpu_hz = 3.0e9;
   uint64_t seed = 42;
-  // Host threads used by AddPlatform and RunAll: 0 = one per hardware
-  // thread, 1 = the serial path (no threads are started), N = at most N
-  // threads. AddPlatform builds a paper-scale block sampler and warms its
-  // caches with them; RunAll simulates at most N platforms concurrently.
+  // Host threads used by AddPlatform, Advance and Finish (so RunAll):
+  // 0 = one per hardware thread, 1 = the serial path (no threads are
+  // started), N = at most N threads. AddPlatform builds a paper-scale
+  // block sampler and warms its caches with them; Finish simulates at
+  // most N platforms concurrently; N > 1 also runs each sharded
+  // platform's kernels on runner threads, in Finish and in every Advance.
   // Every setting produces bit-identical results (see DESIGN.md).
   uint32_t parallelism = 0;
   // --- Intra-platform sharding -------------------------------------------
@@ -57,10 +59,6 @@ struct FleetConfig {
   // scaling) and higher modeled IO latency; the window is part of the
   // model, so changing it changes results — the shard *count* never does.
   SimTime shard_window = SimTime::Micros(50);
-  // Best-effort pinning of shard runner threads to CPUs spread
-  // round-robin over NUMA nodes (Linux only). Wall-clock only; never
-  // results.
-  bool pin_shard_threads = false;
   // Simulated worker hosts per cluster that clients and fan-out peers are
   // drawn from. 64 reproduces the legacy draws bit-for-bit; scale it
   // together with shards_per_platform to simulate 100k-worker platforms.
@@ -100,13 +98,15 @@ struct FleetConfig {
   // Scheduled node outage windows, applied to every shard.
   std::vector<net::OutageWindow> outages;
   // Optional mid-run probe: when `probe_period` is nonzero and `probe` is
-  // set, RunAll drives each shard's simulator in bounded RunUntil steps of
-  // that length and invokes probe(platform_index) between steps (and once
-  // after the shard quiesces). Stepping fires the exact same events in the
-  // exact same order as an unstepped Run, so results stay bit-identical at
-  // every probe setting. In parallel runs the probe is invoked concurrently
-  // from different shards' host threads and must be thread-safe; it may
-  // only inspect the shard whose index it was handed.
+  // set, Advance and Finish (so RunAll) invoke probe(platform_index)
+  // between bounded steps of that length — after each RunUntil step of a
+  // fused platform, at the epoch barriers of a sharded one — and once
+  // after the platform's last event, before its post-run finalize.
+  // Stepping fires the exact same events in the exact same order as an
+  // unstepped run, so results stay bit-identical at every probe setting.
+  // In parallel runs the probe is invoked concurrently from different
+  // platforms' host threads and must be thread-safe; it may only inspect
+  // the platform whose index it was handed.
   SimTime probe_period;
   std::function<void(size_t platform_index)> probe;
 
@@ -204,7 +204,7 @@ struct FleetMemoryStats {
  * paper's Figures 2-6 and Tables 6-7.
  *
  * The three production platforms are independent services; their shards
- * share no mutable state, so RunAll executes them concurrently on host
+ * share no mutable state, so Finish executes them concurrently on host
  * threads. Each shard's RNG streams derive from hash(config.seed,
  * platform_index), making reports bit-identical at every parallelism
  * setting.
@@ -217,41 +217,44 @@ class FleetSimulation {
   FleetSimulation(const FleetSimulation&) = delete;
   FleetSimulation& operator=(const FleetSimulation&) = delete;
 
-  /** Registers a platform before RunAll. */
+  /** Registers a platform before Start (or RunAll). */
   void AddPlatform(PlatformSpec spec);
 
   /** Adds the three paper platforms with their calibrated specs. */
   void AddDefaultPlatforms();
 
-  /** Runs every platform's workload to completion. */
-  void RunAll();
-
-  // --- Incremental execution (the serving front door's substrate) --------
+  // --- Execution ----------------------------------------------------------
   // Start() schedules the configured workloads (a no-op beyond bookkeeping
   // when queries_per_platform == 0, the serving configuration), then
   // Advance(until) moves every platform's virtual clock to `until` and
   // pauses, and Finish() drains remaining work and runs the post-run
-  // merges. Start + any sequence of Advance calls + Finish executes the
-  // exact same events in the exact same order as RunAll — recovered
-  // results are bit-identical, pinned by fleet_parallel_test and the
-  // simtest fuzz digest ("determinism-incremental"). Incremental runs are
-  // serial (every kernel on the calling thread); by the determinism
-  // contract that never changes results. Do not mix with RunAll.
+  // merges. RunAll() is Start() then Finish(). Start + any sequence of
+  // Advance calls + Finish executes the exact same events in the exact
+  // same order as RunAll — recovered results are bit-identical, pinned by
+  // fleet_parallel_test and the simtest fuzz digest
+  // ("determinism-incremental").
 
-  /** Begins an incremental run: schedules every platform's workload. */
+  /** Runs every platform's workload to completion: Start(); Finish(). */
+  void RunAll();
+
+  /** Begins a run: schedules every platform's workload. */
   void Start();
 
   /**
-   * Advances every platform to virtual time `until` and pauses. Returns
-   * true while any platform still has pending work (events beyond
-   * `until`, or in-flight serving queries). Sharded platforms pause
-   * mid-epoch without flipping mailboxes (sim::ShardGroup::Advance);
-   * fused platforms also advance their continuous profiler so live
-   * window snapshots are current up to `until`.
+   * Advances every platform to virtual time `until` and pauses, visiting
+   * platforms in order on the calling thread. Returns true while any
+   * platform still has pending work (events beyond `until`, or in-flight
+   * serving queries). Sharded platforms pause mid-epoch without flipping
+   * mailboxes (sim::ShardGroup::Advance); fused platforms end with their
+   * clock at exactly `until` and also advance their continuous profiler
+   * so live window snapshots are current up to `until`.
    */
   bool Advance(SimTime until);
 
-  /** Drains remaining work and runs the sharded/continuous finalizers. */
+  /**
+   * Drains remaining work and runs the sharded/continuous finalizers,
+   * spreading platforms over up to `parallelism` host threads.
+   */
   void Finish();
 
   /** Number of registered platforms. */
@@ -279,7 +282,7 @@ class FleetSimulation {
    * Continuous (windowed) profile of platform `index`: the streaming
    * instance for a fused platform, the barrier-merged one for a sharded
    * platform (identical output by construction). nullptr when disabled
-   * (continuous_window == Zero) or, for sharded platforms, before RunAll.
+   * (continuous_window == Zero) or, for sharded platforms, before Finish.
    */
   const profiling::ContinuousProfiler* ContinuousOf(size_t index) const;
 
@@ -378,28 +381,23 @@ class FleetSimulation {
   /** Builds a sharded slot (workers + storage kernel + fabric). */
   void AddShardedPlatform(PlatformSpec spec);
 
-  /**
-   * Runs one platform's workload to completion (any thread). `parallel`
-   * lets a sharded platform spawn persistent per-kernel runner threads;
-   * it has no effect on fused platforms and never on results.
-   */
-  void RunSlot(size_t index, bool parallel);
-
   /** Post-run merge of a sharded platform's tracers and profilers. */
   void FinalizePlatform(PlatformSlot& slot);
 
-  /** Advances one platform to `until`; returns true if work remains. */
-  bool AdvanceSlot(PlatformSlot& slot, SimTime until);
-
-  /** The Advance()-path RunOptions for a sharded slot (no probe). */
-  sim::ShardGroup::RunOptions AdvanceOptions(PlatformSlot& slot) const;
+  /**
+   * The one per-platform driver (any thread): advances platform `index`
+   * to `until` (Max = drain), firing the configured probe between steps;
+   * returns true if work remains. `parallel` runs a sharded platform's
+   * kernels on runner threads; it never changes results.
+   */
+  bool AdvanceSlot(size_t index, SimTime until, bool parallel);
 
   FleetConfig config_;
   profiling::FunctionRegistry registry_;
   std::vector<std::unique_ptr<PlatformSlot>> slots_;
-  bool ran_ = false;
-  bool started_ = false;   // incremental run in progress
+  bool started_ = false;   // Start() called
   bool finished_ = false;  // Finish() completed
+  size_t host_threads_ = 1;  // config_.parallelism, resolved by Start()
 };
 
 }  // namespace hyperprof::platforms

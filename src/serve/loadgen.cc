@@ -91,7 +91,8 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
     schedule[k] = due;
   }
 
-  LogHistogram latencies;  // seconds, measured kOk responses only
+  // Seconds, measured kOk responses only.
+  LatencySketch latencies(kLatencyHistogramGeometry);
   std::vector<double> sent_at(total, kNotSent);  // id -> send wall time
   uint64_t next_id = 0;
   uint64_t total_sent = 0;       // warmup + measured

@@ -57,47 +57,40 @@ struct ShardEnvelope {
  * Any shard count — including one — produces bit-identical simulations,
  * with or without runner threads.
  *
- * Hot-path design (DESIGN.md §14): each kernel gets a persistent runner
- * parked on an atomic epoch-ticket barrier (one barrier per epoch, not
- * per-epoch thread-pool enqueues); envelopes carry 48-byte-SBO
- * InlineFunction payloads with oversized captures placed in per-source
- * recycled arenas, so steady-state cross-shard traffic performs zero heap
- * allocations; and when a barrier finds every mailbox empty, the
- * post-horizon hook lets the group coalesce provably message-free windows
- * into one long epoch.
+ * Hot-path design (DESIGN.md §14): in a parallel Advance each kernel
+ * gets a runner thread, parked on an atomic epoch-ticket barrier for the
+ * length of the call (one barrier per epoch, not per-epoch thread-pool
+ * enqueues); envelopes carry 48-byte-SBO InlineFunction payloads with
+ * oversized captures placed in per-source recycled arenas, so
+ * steady-state cross-shard traffic performs zero heap allocations; and
+ * when a barrier finds every mailbox empty, the post-horizon hook lets
+ * the group coalesce provably message-free windows into one long epoch.
  */
 class ShardGroup {
  public:
   struct RunOptions {
     /**
-     * Spawn one persistent runner thread per kernel beyond the caller's
-     * (which runs the last kernel); false runs every kernel on the
-     * calling thread. Either way the results are bit-identical.
+     * Run each kernel beyond the caller's on its own runner thread for
+     * the duration of one Advance call (the caller runs the last kernel);
+     * false runs every kernel on the calling thread. Either way the
+     * results are bit-identical.
      */
     bool parallel = false;
-    /**
-     * Best-effort pinning of each kernel's runner to a fixed CPU, spread
-     * round-robin over NUMA nodes (Linux only; ignored elsewhere). The
-     * calling thread is pinned too (it runs the last kernel). Placement
-     * affects wall-clock only, never results.
-     */
-    bool pin_threads = false;
     /** When nonzero, `probe` fires at barriers every `probe_period`. */
     SimTime probe_period;
-    /** Read-only observer; runs with every kernel parked at the barrier. */
+    /**
+     * Read-only observer; runs on the calling thread with every kernel
+     * parked at the barrier, and once more after the group quiesces.
+     */
     std::function<void()> probe;
     /**
-     * Enables epoch coalescing. When a barrier finds every mailbox empty
-     * and `post_horizon` is set, the epoch extends over every whole
-     * window that provably contains no cross-shard post.
-     */
-    bool adaptive = true;
-    /**
-     * Sound per-kernel lower bound on the next simulated time at which
-     * that kernel may call Post (SimTime::Max() when it provably never
-     * will again). Called only at barriers, with every runner parked.
-     * The bound must be schedule- and layout-invariant, or digests will
-     * diverge. Null disables coalescing.
+     * Enables epoch coalescing: a sound per-kernel lower bound on the
+     * next simulated time at which that kernel may call Post
+     * (SimTime::Max() when it provably never will again). When a barrier
+     * finds every mailbox empty, the epoch extends over every whole
+     * window that provably contains no cross-shard post. Called only at
+     * barriers, with every runner parked. The bound must be schedule- and
+     * layout-invariant, or digests will diverge. Null disables coalescing.
      */
     std::function<SimTime(uint32_t kernel)> post_horizon;
   };
@@ -155,20 +148,13 @@ class ShardGroup {
   }
 
   /**
-   * Runs epochs until every kernel quiesces and all mailboxes drain,
-   * then drains stale cancelled heap entries so kernels report a clean
-   * quiesce. Returns the number of epochs executed. Runner threads live
-   * only inside this call. Must not be interleaved with Advance().
-   */
-  uint64_t Run(const RunOptions& options);
-
-  /**
-   * Incremental execution: advances every kernel to virtual time `until`
-   * and pauses, preserving bit-identity with a single Run() — an
-   * advance-in-K-steps run executes the exact same events in the exact
-   * same order, flips mailboxes at the exact same barriers, and ends with
-   * identical epoch/coalescing counts (pinned by the simtest fuzz
-   * digest's "determinism-incremental" comparison).
+   * The group's one epoch loop: advances every kernel to virtual time
+   * `until` and pauses. Advance(SimTime::Max()) runs to completion, and
+   * advancing in any sequence of horizons executes the exact same events
+   * in the exact same order, flips mailboxes at the exact same barriers,
+   * and ends with identical epoch/coalescing counts as one Advance(Max)
+   * (pinned by the simtest fuzz digest's "determinism-incremental"
+   * comparison).
    *
    * The key is that a pause never becomes a barrier: when `until` falls
    * inside a planned epoch, the group runs each kernel to `until` and
@@ -178,11 +164,11 @@ class ShardGroup {
    * the kernel states a one-shot run would see.
    *
    * Returns true while work remains (paused at `until`), false once the
-   * group has fully quiesced (after which it runs the same final-drain
-   * epilogue as Run()). Advance(SimTime::Max()) runs to completion.
-   * Serial only: kernels run on the calling thread (bit-identical to the
-   * parallel path by the determinism contract); `options.parallel` and
-   * the probe hooks are ignored. Do not mix with Run().
+   * group has fully quiesced; quiesce then drains stale cancelled heap
+   * entries so kernels report a clean quiesce, and fires the probe once
+   * more. With `options.parallel`, runner threads live only inside this
+   * call; an exception thrown by any kernel's event stops and joins them
+   * before it propagates.
    */
   bool Advance(SimTime until, const RunOptions& options);
 
@@ -197,9 +183,10 @@ class ShardGroup {
   uint64_t messages_posted() const;
   uint64_t messages_delivered() const;
   /**
-   * Envelopes still buffered; zero after Run() returns. Maintained from
-   * per-source posted and per-destination delivered counters (updated by
-   * exactly one thread each), so probing it per-barrier stays O(shards).
+   * Envelopes still buffered; zero once Advance() returns false.
+   * Maintained from per-source posted and per-destination delivered
+   * counters (updated by exactly one thread each), so probing it
+   * per-barrier stays O(shards).
    */
   size_t undelivered() const;
   /**
@@ -260,10 +247,8 @@ class ShardGroup {
   void DeliverInbox(uint32_t to);
   /** Delivers, then advances kernel `k` to `deadline` (Max = drain). */
   void RunKernel(uint32_t k, SimTime deadline);
-  void RunSerial(const RunOptions& options);
-  void RunParallel(const RunOptions& options);
-  void SetupPinning();
-  void PinTo(uint32_t kernel_index) const;
+
+  class Runners;  // shard_group.cc: one Advance call's runner threads
 
   std::vector<Simulator*> kernels_;
   SimTime window_;
@@ -278,7 +263,6 @@ class ShardGroup {
   std::vector<Source> sources_;
   std::vector<Dest> dests_;
   std::vector<std::vector<size_t>> merge_scratch_;  // per-dest run cursors
-  std::vector<int> pin_cpus_;                       // kernel -> cpu, or -1
   uint64_t epochs_ = 0;
   uint64_t coalesced_epochs_ = 0;
   // Advance() pause state: the in-progress epoch's planned deadline. An
@@ -287,6 +271,9 @@ class ShardGroup {
   // called with `until` >= the stored deadline.
   bool epoch_open_ = false;
   SimTime epoch_deadline_;
+  // The next barrier time at which the probe fires; Max until the first
+  // probed epoch is planned, and again after quiesce.
+  SimTime next_probe_ = SimTime::Max();
 };
 
 }  // namespace hyperprof::sim

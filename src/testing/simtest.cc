@@ -78,7 +78,8 @@ RunArtifacts ExecuteOnce(const Scenario& scenario, uint32_t parallelism,
 
   // The probe closure needs the fleet, which needs the config: capture a
   // pointer slot by reference and fill it after construction (the probe
-  // only fires inside RunAll, well after the slot is set).
+  // only fires while the fleet runs, in Advance or Finish, well after the
+  // slot is set).
   platforms::FleetSimulation* fleet_ptr = nullptr;
   std::mutex probe_mu;
   if (probe_period > SimTime::Zero() && probe_out != nullptr) {

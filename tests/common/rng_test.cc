@@ -202,13 +202,15 @@ TEST(ZipfSamplerTest, HeadMassMatchesTheory) {
 TEST(ZipfSamplerTest, DrawsMatchAliasSamplerOverZipfWeights) {
   // The in-place table, built serially or on a pool, must equal the
   // generic alias table over the same weights and give exactly its draws.
+  // s >= 0 pairs without worklists; s < 0 (increasing weights) takes the
+  // generic pairing.
   // The pool runs at small sizes so the sanitizer jobs cover the pooled
   // build.
   ThreadPool pool(3);
   const std::pair<size_t, double> cases[] = {
       {0, 0.9},   {1, 0.9},    {1, 0.0},     {2, 1.0},    {3, -0.5},
       {7, 0.0},   {100, 0.0},  {1000, 0.6},  {4096, 0.99}, {5000, 1.3},
-      {20000, 0.85}};
+      {20000, 0.85}, {1 << 18, 0.9}};
   for (const auto& [n, s] : cases) {
     const AliasSampler reference(ZipfWeights(n, s));
     const ZipfSampler serial(n, s);

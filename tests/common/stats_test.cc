@@ -57,8 +57,16 @@ TEST(RunningStatTest, MergeWithEmpty) {
   EXPECT_EQ(empty.mean(), 3.0);
 }
 
+// LogHistogramTest: LatencySketch at kLatencyHistogramGeometry, the
+// geometry of the RPC and load-generator latency histograms.
+LatencySketch LatencyHistogram(double min_value = 1e-9) {
+  SketchGeometry geometry = kLatencyHistogramGeometry;
+  geometry.min_value = min_value;
+  return LatencySketch(geometry);
+}
+
 TEST(LogHistogramTest, CountAndMean) {
-  LogHistogram hist;
+  LatencySketch hist = LatencyHistogram();
   hist.Add(1e-3);
   hist.Add(3e-3);
   EXPECT_EQ(hist.count(), 2u);
@@ -66,7 +74,7 @@ TEST(LogHistogramTest, CountAndMean) {
 }
 
 TEST(LogHistogramTest, QuantilesOrdered) {
-  LogHistogram hist;
+  LatencySketch hist = LatencyHistogram();
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) hist.Add(rng.NextExponential(1e-3));
   double p50 = hist.Quantile(0.5);
@@ -80,14 +88,15 @@ TEST(LogHistogramTest, QuantilesOrdered) {
 }
 
 TEST(LogHistogramTest, UnderflowCountsButClamps) {
-  LogHistogram hist(1e-6);
+  LatencySketch hist = LatencyHistogram(1e-6);
   hist.Add(1e-9);  // below min bucket
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_GT(hist.Quantile(0.5), 0.0);
 }
 
 TEST(LogHistogramTest, MergeAddsCounts) {
-  LogHistogram a, b;
+  LatencySketch a = LatencyHistogram();
+  LatencySketch b = LatencyHistogram();
   a.Add(1e-3);
   b.Add(2e-3);
   a.Merge(b);
@@ -100,16 +109,17 @@ TEST(LogHistogramTest, MergeAddsCounts) {
 // bucket counts but disjoint value ranges; merging them must die in every
 // build mode instead of silently corrupting quantiles.
 TEST(LogHistogramDeathTest, MergeRejectsMismatchedGeometry) {
-  LogHistogram nanos(1e-9, 20, 15);
-  LogHistogram micros(1e-6, 20, 15);
+  LatencySketch nanos = LatencyHistogram(1e-9);
+  LatencySketch micros = LatencyHistogram(1e-6);
   nanos.Add(1e-3);
   micros.Add(1e-3);
   EXPECT_DEATH(nanos.Merge(micros), "geometry mismatch");
 }
 
 TEST(LogHistogramDeathTest, MergeRejectsMismatchedBucketsPerDecade) {
-  LogHistogram coarse(1e-9, 10, 30);  // same total bucket count as default
-  LogHistogram fine;
+  // Same total bucket count as the latency geometry.
+  LatencySketch coarse(SketchGeometry{1e-9, 10, 30});
+  LatencySketch fine = LatencyHistogram();
   EXPECT_DEATH(fine.Merge(coarse), "geometry mismatch");
 }
 
@@ -117,7 +127,7 @@ TEST(LogHistogramDeathTest, MergeRejectsMismatchedBucketsPerDecade) {
 // (UB) and poison sum_. Non-finite samples now land in a dedicated bin and
 // leave count/sum/quantiles untouched.
 TEST(LogHistogramTest, NonFiniteSamplesAreIsolated) {
-  LogHistogram hist;
+  LatencySketch hist = LatencyHistogram();
   hist.Add(1e-3);
   hist.Add(std::numeric_limits<double>::quiet_NaN());
   hist.Add(std::numeric_limits<double>::infinity());
@@ -128,7 +138,7 @@ TEST(LogHistogramTest, NonFiniteSamplesAreIsolated) {
   EXPECT_TRUE(std::isfinite(hist.Quantile(0.5)));
   EXPECT_TRUE(std::isfinite(hist.Quantile(1.0)));
 
-  LogHistogram other;
+  LatencySketch other = LatencyHistogram();
   other.Add(std::numeric_limits<double>::quiet_NaN());
   hist.Merge(other);
   EXPECT_EQ(hist.nonfinite(), 4u);
@@ -140,7 +150,7 @@ TEST(LogHistogramTest, NonFiniteSamplesAreIsolated) {
 // below min_value. With 3 of 4 samples in the underflow region, the median
 // must interpolate inside [0, min_value), at exactly min_value * (2/3).
 TEST(LogHistogramTest, UnderflowQuantilesInterpolateBelowMinValue) {
-  LogHistogram hist(1e-6);
+  LatencySketch hist = LatencyHistogram(1e-6);
   hist.Add(1e-9);
   hist.Add(1e-9);
   hist.Add(1e-9);
@@ -152,12 +162,6 @@ TEST(LogHistogramTest, UnderflowQuantilesInterpolateBelowMinValue) {
   // p95 lands on the in-range sample's bucket (~1e-3, bucket is ~12% wide).
   EXPECT_GT(hist.Quantile(0.95), 1e-3 * 0.88);
   EXPECT_LT(hist.Quantile(0.95), 1e-3 * 1.13);
-}
-
-TEST(LogHistogramTest, SummaryMentionsCount) {
-  LogHistogram hist;
-  hist.Add(1e-3);
-  EXPECT_NE(hist.Summary().find("n=1"), std::string::npos);
 }
 
 TEST(LatencySketchTest, BasicAccounting) {
@@ -230,15 +234,15 @@ TEST(LogHistogramTest, RandomizedMergeMatchesOneshot) {
   Rng rng(202);
   for (int round = 0; round < 10; ++round) {
     int shards = 2 + static_cast<int>(rng.NextBounded(5));
-    LogHistogram fused;
-    std::vector<LogHistogram> parts(static_cast<size_t>(shards));
+    LatencySketch fused = LatencyHistogram();
+    std::vector<LatencySketch> parts(static_cast<size_t>(shards), fused);
     for (int i = 0; i < 500; ++i) {
       double v = rng.NextExponential(2e-3);
       fused.Add(v);
       parts[rng.NextBounded(static_cast<uint64_t>(shards))].Add(v);
     }
-    LogHistogram merged;
-    for (const LogHistogram& part : parts) merged.Merge(part);
+    LatencySketch merged = LatencyHistogram();
+    for (const LatencySketch& part : parts) merged.Merge(part);
     EXPECT_EQ(merged.count(), fused.count());
     for (double q : {0.05, 0.5, 0.9, 0.999}) {
       EXPECT_DOUBLE_EQ(merged.Quantile(q), fused.Quantile(q)) << "q=" << q;
@@ -290,7 +294,7 @@ TEST(RunningStatTest, MergeTwoEmpties) {
 }
 
 TEST(LogHistogramTest, EmptyHistogramEdges) {
-  LogHistogram hist;
+  LatencySketch hist = LatencyHistogram();
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
   // Quantiles of an empty histogram must not crash and stay finite.
@@ -302,7 +306,7 @@ TEST(LogHistogramTest, EmptyHistogramEdges) {
 TEST(LogHistogramTest, SingleSampleQuantilesBracketValue) {
   // With one sample every quantile interpolates inside that sample's
   // bucket, so p0 and p100 bracket the value within bucket resolution.
-  LogHistogram hist;
+  LatencySketch hist = LatencyHistogram();
   hist.Add(5e-3);
   double p0 = hist.Quantile(0.0);
   double p100 = hist.Quantile(1.0);
@@ -313,7 +317,7 @@ TEST(LogHistogramTest, SingleSampleQuantilesBracketValue) {
 }
 
 TEST(LogHistogramTest, ExtremeQuantilesOrderedUnderLoad) {
-  LogHistogram hist;
+  LatencySketch hist = LatencyHistogram();
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) hist.Add(rng.NextExponential(2e-3));
   double p0 = hist.Quantile(0.0);

@@ -76,6 +76,7 @@ TEST_F(RpcTest, LatencyHistogramRecordsCalls) {
   simulator_.Run();
   EXPECT_EQ(rpc_.latency_histogram().count(), 10u);
   EXPECT_GT(rpc_.latency_histogram().mean(), 100e-6);
+  EXPECT_EQ(rpc_.latency_histogram().geometry(), kLatencyHistogramGeometry);
 }
 
 TEST_F(RpcTest, NestedRpcFromHandler) {

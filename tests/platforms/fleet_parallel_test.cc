@@ -4,6 +4,8 @@
 // substrate and derives its RNG streams from hash(seed, platform_index)
 // alone (see DESIGN.md).
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -36,16 +38,22 @@ std::unique_ptr<FleetSimulation> RunFleet(uint32_t parallelism,
 /**
  * The same fleet driven through the incremental Start/Advance/Finish API
  * in seed-derived random virtual-time increments, as the serving daemon
- * drives it — pausing must never become a barrier (DESIGN.md §16).
+ * drives it — pausing must never become a barrier (DESIGN.md §16). A
+ * non-null `probe` fires every millisecond of virtual time.
  */
-std::unique_ptr<FleetSimulation> RunFleetIncremental(uint64_t step_seed,
-                                                     uint32_t shards = 0) {
+std::unique_ptr<FleetSimulation> RunFleetIncremental(
+    uint64_t step_seed, uint32_t shards = 0, uint32_t parallelism = 1,
+    std::function<void(size_t)> probe = nullptr) {
   FleetConfig config;
   config.queries_per_platform = shards > 0 ? 200 : 400;
   config.trace_sample_one_in = 5;
   config.seed = 42;
-  config.parallelism = 1;
+  config.parallelism = parallelism;
   config.shards_per_platform = shards;
+  if (probe) {
+    config.probe_period = SimTime::Millis(1);
+    config.probe = std::move(probe);
+  }
   auto fleet = std::make_unique<FleetSimulation>(config);
   fleet->AddDefaultPlatforms();
   fleet->Start();
@@ -54,7 +62,13 @@ std::unique_ptr<FleetSimulation> RunFleetIncremental(uint64_t step_seed,
   while (true) {
     horizon += SimTime::Micros(100 + static_cast<int64_t>(
                                          rng.NextBounded(20000)));
-    if (!fleet->Advance(horizon)) break;
+    const bool more = fleet->Advance(horizon);
+    // The serving front door admits at Now(), so a fused platform's clock
+    // must end each Advance exactly at the horizon, probed or not.
+    for (size_t p = 0; shards == 0 && p < fleet->platform_count(); ++p) {
+      EXPECT_EQ(fleet->SimulatorOf(p).Now(), horizon) << "platform " << p;
+    }
+    if (!more) break;
   }
   fleet->Finish();
   return fleet;
@@ -115,6 +129,14 @@ void ExpectBitIdentical(FleetSimulation& serial, FleetSimulation& parallel) {
                 b.microarch.by_broad[broad].Ipc())
           << a.name << " broad " << broad;
     }
+
+    // The epoch schedule is layout- and schedule-invariant (zeros when
+    // fused), so stepped, parallel and re-sharded runs plan the same one.
+    ShardStats sa = serial.ShardStatsOf(p);
+    ShardStats sb = parallel.ShardStatsOf(p);
+    EXPECT_EQ(sa.epochs, sb.epochs) << a.name;
+    EXPECT_EQ(sa.coalesced_epochs, sb.coalesced_epochs) << a.name;
+    EXPECT_EQ(sa.messages_posted, sb.messages_posted) << a.name;
 
     // Raw traces too: same sampled queries, same span boundaries.
     const auto& ta = serial.TracesOf(p);
@@ -180,6 +202,14 @@ TEST(FleetParallelTest, IncrementalAdvanceMatchesOneShotRun) {
     auto incremental = RunFleetIncremental(step_seed);
     ExpectBitIdentical(SerialReference(), *incremental);
   }
+  // The same path at the hardware-default parallelism with a probe set:
+  // the probe steps inside each Advance and Finish drains on the pool.
+  std::atomic<uint64_t> probes{0};
+  auto probed = RunFleetIncremental(/*step_seed=*/7, /*shards=*/0,
+                                    /*parallelism=*/0,
+                                    [&probes](size_t) { ++probes; });
+  ExpectBitIdentical(SerialReference(), *probed);
+  EXPECT_GT(probes.load(), 0u);
 }
 
 TEST(FleetParallelTest, DifferentSeedsProduceDifferentFleets) {
@@ -209,6 +239,13 @@ TEST(FleetShardingTest, IncrementalAdvanceMatchesShardedReference) {
     auto incremental = RunFleetIncremental(/*step_seed=*/99, shards);
     ExpectBitIdentical(ShardedReference(), *incremental);
   }
+  // Four shards on runner threads in every Advance, probed at barriers.
+  std::atomic<uint64_t> probes{0};
+  auto probed = RunFleetIncremental(/*step_seed=*/99, /*shards=*/4,
+                                    /*parallelism=*/0,
+                                    [&probes](size_t) { ++probes; });
+  ExpectBitIdentical(ShardedReference(), *probed);
+  EXPECT_GT(probes.load(), 0u);
 }
 
 TEST(FleetShardingTest, ParallelShardedMatchesSerialSharded) {

@@ -1,6 +1,7 @@
 // ShardGroup unit suite: canonical delivery order, epoch coalescing,
-// quiesce with in-flight envelopes, and the zero-steady-state-allocation
-// guarantee of the exchange path.
+// quiesce with in-flight envelopes, stepped vs one-shot Advance, runner
+// error propagation, and the zero-steady-state-allocation guarantee of
+// the exchange path.
 //
 // This binary replaces the global allocator with a counting shim (the
 // tracer_memory_test pattern); it must stay its own test executable so
@@ -10,6 +11,9 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -117,6 +121,16 @@ void StartChains(Harness* h, uint32_t from, uint64_t lanes, uint32_t hops) {
   }
 }
 
+/** Unflagged self-ticks every 100us on `kernel`: local work, no posts. */
+struct Tick {
+  Harness* h;
+  uint32_t kernel;
+  int left;
+  void operator()() {
+    if (left-- > 0) h->kernels[kernel]->Schedule(SimTime::Micros(100), *this);
+  }
+};
+
 TEST(ShardGroupTest, AllocationCounterIsLive) {
   uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
   auto* probe = new std::vector<int>(128);
@@ -151,7 +165,7 @@ TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
     }
     ShardGroup::RunOptions options;
     options.parallel = parallel;
-    h.group->Run(options);
+    h.group->Advance(SimTime::Max(), options);
     EXPECT_EQ(h.group->late_deliveries(), 0u);
     EXPECT_EQ(h.group->undelivered(), 0u);
     return h.logs[0];
@@ -175,14 +189,7 @@ TEST(ShardGroupTest, CoalescedMatchesWindowByWindow) {
   auto run = [](bool coalesce) {
     Harness h(2);
     // Dense unflagged self-ticks on kernel 0 keep every window non-idle.
-    struct Tick {
-      Harness* h;
-      int left;
-      void operator()() {
-        if (left-- > 0) h->kernels[0]->Schedule(SimTime::Micros(100), *this);
-      }
-    };
-    h.kernels[0]->Schedule(SimTime::Zero(), Tick{&h, 400});
+    h.kernels[0]->Schedule(SimTime::Zero(), Tick{&h, 0, 400});
     // Kernel 1 pings kernel 0 every 10ms; the pong posts nothing.
     for (int64_t ms : {0, 10, 20, 30}) {
       h.kernels[1]->ScheduleFlagged(SimTime::Millis(ms), [&h, ms] {
@@ -196,7 +203,8 @@ TEST(ShardGroupTest, CoalescedMatchesWindowByWindow) {
         return (*kernels)[k]->flagged_horizon();
       };
     }
-    uint64_t epochs = h.group->Run(options);
+    EXPECT_FALSE(h.group->Advance(SimTime::Max(), options));
+    uint64_t epochs = h.group->epochs();
     EXPECT_EQ(h.group->late_deliveries(), 0u);
     EXPECT_EQ(h.group->undelivered(), 0u);
     return std::make_tuple(h.logs[0], h.logs[1], epochs,
@@ -213,8 +221,8 @@ TEST(ShardGroupTest, CoalescedMatchesWindowByWindow) {
   ASSERT_EQ(log1_a.size(), 4u);  // ...four pongs
 }
 
-// Deep ping-pong chains leave envelopes in flight at every barrier; after
-// Run() the group must account for all of them and the kernels must be
+// Deep ping-pong chains leave envelopes in flight at every barrier; once
+// Advance(Max) returns the group must account for all of them and the kernels must be
 // fully drained, serial and parallel alike.
 TEST(ShardGroupTest, QuiesceWithInFlightEnvelopes) {
   for (bool parallel : {false, true}) {
@@ -222,7 +230,7 @@ TEST(ShardGroupTest, QuiesceWithInFlightEnvelopes) {
     StartChains(&h, 0, /*lanes=*/5, /*hops=*/15);
     ShardGroup::RunOptions options;
     options.parallel = parallel;
-    h.group->Run(options);
+    h.group->Advance(SimTime::Max(), options);
     // 5 lanes x 16 messages (hop 0..15) each.
     EXPECT_EQ(h.group->messages_posted(), 80u) << "parallel=" << parallel;
     EXPECT_EQ(h.group->messages_delivered(), 80u);
@@ -246,7 +254,7 @@ TEST(ShardGroupTest, UndeliveredCountsBufferedEnvelopes) {
   EXPECT_EQ(h.group->messages_posted(), 1u);
   EXPECT_EQ(h.group->undelivered(), 1u);
   ShardGroup::RunOptions options;
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   EXPECT_EQ(h.group->undelivered(), 0u);
   ASSERT_EQ(h.logs[0].size(), 1u);
 }
@@ -266,7 +274,7 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   };
   // Warm-up: grows mailboxes, arena cells, kernel slot tables, heaps.
   workload();
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   EXPECT_EQ(h.group->messages_delivered(), 40u);
   uint64_t warmed_allocs = h.group->exchange_allocs();
   EXPECT_GT(warmed_allocs, 0u);  // the fat payloads did hit the arena
@@ -275,7 +283,7 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   for (auto& log : h.logs) log.clear();
   uint64_t heap_before = g_allocation_count.load(std::memory_order_relaxed);
   workload();
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   uint64_t heap_after = g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(heap_after - heap_before, 0u);
   EXPECT_EQ(h.group->exchange_allocs(), warmed_allocs);
@@ -290,13 +298,107 @@ TEST(ShardGroupTest, InlinePayloadsSkipTheArena) {
   Harness h(2);
   ShardGroup::RunOptions options;
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   uint64_t after_first = h.group->exchange_allocs();
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   // No arena cells and no further container growth on the second run.
   EXPECT_EQ(h.group->exchange_allocs(), after_first);
   EXPECT_EQ(h.group->messages_delivered(), 24u);
+}
+
+/** What one run of the mixed workload below leaves behind. */
+struct Outcome {
+  std::vector<std::vector<LogEntry>> logs;
+  uint64_t epochs = 0;
+  uint64_t coalesced = 0;
+  uint64_t probes = 0;
+  bool operator==(const Outcome&) const = default;
+};
+
+/**
+ * Chains in flight, dense local ticks and sparse pings, with coalescing
+ * and a probe on. `step_seed` 0 runs one Advance(Max); any other value
+ * advances to random horizons drawn from it, including zero-length steps.
+ */
+Outcome RunMixed(bool parallel, uint64_t step_seed) {
+  Harness h(3);
+  StartChains(&h, 0, /*lanes=*/4, /*hops=*/12);
+  h.kernels[1]->Schedule(SimTime::Zero(), Tick{&h, 1, 400});
+  for (int64_t ms : {0, 10, 20, 30}) {
+    h.kernels[2]->ScheduleFlagged(SimTime::Millis(ms), [&h, ms] {
+      PostHop(&h, 2, 100 + static_cast<uint64_t>(ms), 0, 1);
+    });
+  }
+  Outcome out;
+  ShardGroup::RunOptions options;
+  options.parallel = parallel;
+  options.post_horizon = [&h](uint32_t k) {
+    return h.kernels[k]->flagged_horizon();
+  };
+  options.probe_period = SimTime::Millis(1);
+  options.probe = [&out] { ++out.probes; };
+  if (step_seed == 0) {
+    EXPECT_FALSE(h.group->Advance(SimTime::Max(), options));
+  } else {
+    std::mt19937_64 rng(step_seed);
+    SimTime horizon = SimTime::Zero();
+    do {
+      horizon += SimTime::Micros(static_cast<int64_t>(rng() % 3000));
+    } while (h.group->Advance(horizon, options));
+  }
+  EXPECT_EQ(h.group->undelivered(), 0u);
+  EXPECT_EQ(h.group->late_deliveries(), 0u);
+  for (Simulator* kernel : h.kernels) {
+    EXPECT_EQ(kernel->pending_events(), 0u);
+    EXPECT_EQ(kernel->cancelled_events(), 0u);
+  }
+  out.logs = h.logs;
+  out.epochs = h.group->epochs();
+  out.coalesced = h.group->coalesced_epochs();
+  return out;
+}
+
+// A pause never becomes a barrier, with or without runner threads:
+// advancing to random horizons delivers the same logs, plans the same
+// epochs (coalesced ones included) and fires the same probes as one
+// serial Advance(Max).
+TEST(ShardGroupTest, SteppedParallelAdvanceMatchesOneShot) {
+  const Outcome reference = RunMixed(/*parallel=*/false, /*step_seed=*/0);
+  EXPECT_GT(reference.coalesced, 0u);  // the coalescing path is exercised
+  EXPECT_GT(reference.probes, 1u);
+  size_t delivered = 0;
+  for (const auto& log : reference.logs) delivered += log.size();
+  EXPECT_EQ(delivered, 4u * 13u + 4u * 2u);  // chains + pings and pongs
+  EXPECT_EQ(RunMixed(/*parallel=*/true, /*step_seed=*/0), reference);
+  for (uint64_t step_seed : {1u, 2u, 3u}) {
+    for (bool parallel : {false, true}) {
+      EXPECT_EQ(RunMixed(parallel, step_seed), reference)
+          << "step_seed=" << step_seed << " parallel=" << parallel;
+    }
+  }
+}
+
+// An event that throws on a runner's kernel (kernel 0) or on the calling
+// thread's kernel (the last) surfaces from Advance. Destroying a joinable
+// std::thread terminates the process, so reaching the end of each round
+// shows that every runner was joined.
+TEST(ShardGroupTest, RunnerExceptionPropagates) {
+  for (uint32_t thrower : {0u, 2u}) {
+    Harness h(3);
+    StartChains(&h, 0, /*lanes=*/4, /*hops=*/12);  // every kernel busy
+    h.kernels[thrower]->Schedule(SimTime::Millis(2), [thrower] {
+      throw std::runtime_error("kernel " + std::to_string(thrower));
+    });
+    ShardGroup::RunOptions options;
+    options.parallel = true;
+    try {
+      h.group->Advance(SimTime::Max(), options);
+      ADD_FAILURE() << "Advance returned; kernel " << thrower << " threw";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "kernel " + std::to_string(thrower));
+    }
+  }
 }
 
 }  // namespace
