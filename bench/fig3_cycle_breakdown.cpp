@@ -43,7 +43,7 @@ void BM_ComputeCycleBreakdown(benchmark::State& state) {
         profiling::ComputeCycleBreakdown(profiler, registry));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(profiler.samples().size()));
+                          static_cast<int64_t>(profiler.sample_count()));
 }
 BENCHMARK(BM_ComputeCycleBreakdown);
 

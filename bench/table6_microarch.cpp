@@ -43,7 +43,7 @@ void BM_ComputeMicroarchReport(benchmark::State& state) {
         profiling::ComputeMicroarchReport(profiler, registry));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(profiler.samples().size()));
+                          static_cast<int64_t>(profiler.sample_count()));
 }
 BENCHMARK(BM_ComputeMicroarchReport);
 

@@ -161,44 +161,101 @@ Rng& PlatformEngine::DrawStream(QueryState& query) {
 void PlatformEngine::Run(uint64_t num_queries, double arrival_rate_qps,
                          std::function<void()> on_all_done) {
   assert(arrival_rate_qps > 0);
+  assert(!cursors_[0].pending && !cursors_[1].pending &&
+         "previous arrival sequence still running");
   on_all_done_ = std::move(on_all_done);
-  SimTime arrival = context_.simulator->Now();
+  arrival_count_ = num_queries;
+  arrival_mean_s_ = 1.0 / arrival_rate_qps;
+  for (size_t c = 0; c < 2; ++c) {
+    cursors_[c] = ArrivalCursor{};
+    cursors_[c].flagged = c == 1;
+    cursors_[c].time = context_.simulator->Now();
+  }
   if (!sharded_) {
-    target_ += num_queries;
+    // Every arrival draw is taken from rng_ up front, as the queries'
+    // own draws that follow depend on its position; the cursor replays
+    // the same draws from a copy of the stream as the arrivals come due.
+    ArrivalCursor& cursor = cursors_[0];
+    cursor.draws = rng_;
     for (uint64_t i = 0; i < num_queries; ++i) {
-      arrival += SimTime::FromSeconds(
-          rng_.NextExponential(1.0 / arrival_rate_qps));
-      size_t type_index = type_sampler_->Sample(rng_);
-      context_.simulator->ScheduleAt(
-          arrival, [this, type_index]() { StartQuery(type_index); });
+      rng_.NextExponential(arrival_mean_s_);
+      type_sampler_->Sample(rng_);
     }
+    target_ += num_queries;
+    cursor.next_order = context_.simulator->ReserveOrders(num_queries);
+    ScheduleNextArrival(cursor);
     return;
   }
-  // Sharded mode: every shard walks the full arrival sequence (each gap
-  // comes from its query's own stream, so the prefix sums agree across
-  // shards) but schedules only the queries it owns.
-  for (uint64_t i = 0; i < num_queries; ++i) {
+  // Sharded mode: each gap comes from its query's own stream, so every
+  // shard walks the same arrival sequence, and owns the queries whose
+  // index is congruent to its shard index. Owned arrivals take reserved
+  // orders in index order, whatever their class.
+  const uint64_t owned =
+      num_queries / context_.shard_count +
+      (context_.shard_index < num_queries % context_.shard_count ? 1 : 0);
+  target_ += owned;
+  const uint64_t first_order = context_.simulator->ReserveOrders(owned);
+  for (ArrivalCursor& cursor : cursors_) {
+    // A class no query type belongs to would walk the whole sequence
+    // for nothing.
+    bool any_type = false;
+    for (const auto& io_after : io_after_) {
+      any_type = any_type || (io_after[0] != 0) == cursor.flagged;
+    }
+    if (!any_type) continue;
+    cursor.next_order = first_order;
+    ScheduleNextArrival(cursor);
+  }
+}
+
+void PlatformEngine::ScheduleNextArrival(ArrivalCursor& cursor) {
+  auto fire = [this, &cursor]() { FireArrival(cursor); };
+  if (!sharded_) {
+    if (cursor.next_index == arrival_count_) return;
+    ++cursor.next_index;
+    cursor.time +=
+        SimTime::FromSeconds(cursor.draws.NextExponential(arrival_mean_s_));
+    cursor.type_index = type_sampler_->Sample(cursor.draws);
+    context_.simulator->ScheduleReservedAt(cursor.time, cursor.next_order++,
+                                           fire, /*flagged=*/false);
+    cursor.pending = true;
+    return;
+  }
+  while (cursor.next_index < arrival_count_) {
+    uint64_t i = cursor.next_index++;
     Rng query_rng(DeriveQuerySeed(context_.stream_seed, i));
-    arrival += SimTime::FromSeconds(
-        query_rng.NextExponential(1.0 / arrival_rate_qps));
+    cursor.time +=
+        SimTime::FromSeconds(query_rng.NextExponential(arrival_mean_s_));
     size_t type_index = type_sampler_->Sample(query_rng);
     if (i % context_.shard_count != context_.shard_index) continue;
-    ++target_;
-    // Packed capture (lane/type narrowed) so the arrival event stays
-    // within the kernel callback's inline buffer.
-    uint32_t lane32 = static_cast<uint32_t>(i);
-    uint16_t type16 = static_cast<uint16_t>(type_index);
-    auto start = [this, lane32, type16, query_rng]() mutable {
-      StartShardedQuery(lane32, type16, std::move(query_rng));
-    };
+    uint64_t order = cursor.next_order++;
     // Arrivals of IO-issuing types are flagged: they spawn events at
     // times unknowable before they fire, so the arrival itself must
     // bound the post horizon. (Flagging never changes firing order.)
-    if (io_after_[type_index][0] != 0) {
-      context_.simulator->ScheduleFlaggedAt(arrival, std::move(start));
-    } else {
-      context_.simulator->ScheduleAt(arrival, std::move(start));
-    }
+    if ((io_after_[type_index][0] != 0) != cursor.flagged) continue;
+    cursor.lane = i;
+    cursor.type_index = type_index;
+    cursor.query_rng = query_rng;
+    context_.simulator->ScheduleReservedAt(cursor.time, order, fire,
+                                           cursor.flagged);
+    cursor.pending = true;
+    return;
+  }
+}
+
+void PlatformEngine::FireArrival(ArrivalCursor& cursor) {
+  // Queue the class's next arrival first, so the kernel holds it while
+  // this query runs; its reserved order sorts it ahead of every event the
+  // query schedules, as when all arrivals were queued up front.
+  cursor.pending = false;
+  uint64_t lane = cursor.lane;
+  size_t type_index = cursor.type_index;
+  Rng query_rng = cursor.query_rng;
+  ScheduleNextArrival(cursor);
+  if (sharded_) {
+    StartShardedQuery(lane, type_index, std::move(query_rng));
+  } else {
+    StartQuery(type_index);
   }
 }
 

@@ -102,6 +102,14 @@ class PlatformEngine {
   /**
    * Schedules `num_queries` arrivals at `arrival_rate_qps` and invokes
    * `on_all_done` when the last completes. Call Simulator::Run afterwards.
+   *
+   * Arrivals are drawn exactly as if all were scheduled now, but the
+   * kernel holds only the next one of each flag class: a cursor event
+   * per class draws its successor and reschedules itself under the
+   * tie-break order reserved here for it, so events fire in the same
+   * (time, order) sequence and flagged_horizon() is unchanged. Engine
+   * and kernel state stay constant in `num_queries`. One arrival sequence
+   * at a time: call again only after the previous one has arrived.
    */
   void Run(uint64_t num_queries, double arrival_rate_qps,
            std::function<void()> on_all_done);
@@ -184,12 +192,35 @@ class PlatformEngine {
    */
   using Done = sim::Simulator::Callback;
 
+  /**
+   * Walks the arrival sequence for one flag class: flagged for arrivals
+   * of IO-issuing types (sharded mode), unflagged for the rest and for
+   * every fused arrival. It holds the class's next arrival, pending in
+   * the kernel under the order it would have had if scheduled eagerly.
+   */
+  struct ArrivalCursor {
+    bool flagged = false;
+    bool pending = false;   // an arrival event of this class is queued
+    Rng draws{0};           // fused: a replay of the arrival draws
+    uint64_t next_index = 0;  // next query index of the sequence to draw
+    SimTime time;             // arrival time of the last drawn query
+    uint64_t next_order = 0;  // reserved order of the next owned arrival
+    // The pending arrival.
+    uint64_t lane = 0;
+    size_t type_index = 0;
+    Rng query_rng{0};  // sharded: the query's stream past its arrival draws
+  };
+
   /** Names and strings a remote phase needs per RPC, built once. */
   struct RemotePhaseInfo {
     profiling::NameId name_id = profiling::kInvalidNameId;
     std::string method;  // "<platform>.<phase>", shared by every RPC
   };
 
+  /** Draws `cursor`'s next arrival of its class and schedules it. */
+  void ScheduleNextArrival(ArrivalCursor& cursor);
+  /** The cursor event: queues the class's next arrival, starts this one. */
+  void FireArrival(ArrivalCursor& cursor);
   /** Pops a recycled QueryState (fields reset) or allocates a fresh one. */
   std::shared_ptr<QueryState> AcquireQueryState();
   /** Shared tail of every fused admission: client draw, trace, phase 0. */
@@ -252,6 +283,11 @@ class PlatformEngine {
   uint64_t io_failures_ = 0;
   uint64_t target_ = 0;
   std::function<void()> on_all_done_;
+  // Arrival sequence of the current Run: its length, mean gap, and one
+  // cursor per flag class ([0] unflagged, [1] flagged).
+  uint64_t arrival_count_ = 0;
+  double arrival_mean_s_ = 0;
+  ArrivalCursor cursors_[2];
   // Ticketed-serving completion sink (see SetServingSink).
   ServingSink serving_sink_ = nullptr;
   void* serving_ctx_ = nullptr;

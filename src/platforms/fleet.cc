@@ -395,8 +395,9 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
                                          0);
   }
   // --- Profiler merge ---------------------------------------------------
-  // Sample order differs from a fused run, but every consumer aggregates
-  // by exact-integer counter sums, so reports are order-independent.
+  // Each worker holds folded per-symbol totals; absorbing them in shard
+  // order adds exact integer sums, so the merged totals do not depend on
+  // which shard sampled what, and symbol ids follow first-sample order.
   slot.merged_profiler = std::make_unique<profiling::CpuProfiler>(
       config_.profiler_period, config_.cpu_hz, Rng(kMergeSeed));
   for (const auto& worker : slot.workers) {

@@ -188,7 +188,7 @@ struct ShardStats {
 struct FleetMemoryStats {
   uint64_t kernel_bytes = 0;    // event heaps + slot tables
   uint64_t tracer_bytes = 0;    // open slots + retained traces
-  uint64_t profiler_bytes = 0;  // samples + symbol tables
+  uint64_t profiler_bytes = 0;  // per-symbol totals + symbol tables
   uint64_t total_bytes = 0;     // kernel + tracer + profiler
   uint64_t storage_bytes = 0;   // fileserver cache tables, slots, detached sets
   uint64_t sampler_bytes = 0;   // block-sampler alias tables

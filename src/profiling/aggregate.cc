@@ -250,34 +250,30 @@ double CycleBreakdownReport::FineFractionOfTotal(FnCategory category) const {
 
 namespace {
 
-/** Classifies each interned symbol once, then maps samples through it. */
+/** Classifies each interned symbol once, indexed by symbol id. */
 std::vector<FnCategory> ClassifySymbols(const CpuProfiler& profiler,
                                         const FunctionRegistry& registry) {
-  std::vector<FnCategory> by_symbol;
-  // Symbol ids are dense; resolve lazily as they appear in samples.
-  for (const CpuSample& sample : profiler.samples()) {
-    if (sample.symbol_id >= by_symbol.size()) {
-      size_t old_size = by_symbol.size();
-      by_symbol.resize(sample.symbol_id + 1);
-      for (size_t id = old_size; id < by_symbol.size(); ++id) {
-        by_symbol[id] = registry.Classify(
-            profiler.SymbolName(static_cast<uint32_t>(id)));
-      }
-    }
+  std::vector<FnCategory> by_symbol(profiler.symbol_totals().size());
+  for (size_t id = 0; id < by_symbol.size(); ++id) {
+    by_symbol[id] =
+        registry.Classify(profiler.SymbolName(static_cast<uint32_t>(id)));
   }
   return by_symbol;
 }
 
 }  // namespace
 
+// Both reports sum per-symbol totals. Counters are uint64_t sums, and the
+// cycle sums are doubles of integers far below 2^53, so every total is
+// exact and independent of the order samples were taken or merged in.
 CycleBreakdownReport ComputeCycleBreakdown(const CpuProfiler& profiler,
                                            const FunctionRegistry& registry) {
   CycleBreakdownReport report;
   std::vector<FnCategory> by_symbol = ClassifySymbols(profiler, registry);
-  for (const CpuSample& sample : profiler.samples()) {
-    FnCategory category = by_symbol[sample.symbol_id];
-    report.cycles_by_category[static_cast<size_t>(category)] +=
-        static_cast<double>(sample.counters.cycles);
+  const std::vector<SymbolTotals>& totals = profiler.symbol_totals();
+  for (size_t id = 0; id < totals.size(); ++id) {
+    report.cycles_by_category[static_cast<size_t>(by_symbol[id])] +=
+        static_cast<double>(totals[id].counters.cycles());
   }
   return report;
 }
@@ -286,11 +282,11 @@ MicroarchReport ComputeMicroarchReport(const CpuProfiler& profiler,
                                        const FunctionRegistry& registry) {
   MicroarchReport report;
   std::vector<FnCategory> by_symbol = ClassifySymbols(profiler, registry);
-  for (const CpuSample& sample : profiler.samples()) {
-    FnCategory category = by_symbol[sample.symbol_id];
-    report.overall.Add(sample.counters);
-    report.by_broad[static_cast<size_t>(BroadOf(category))].Add(
-        sample.counters);
+  const std::vector<SymbolTotals>& totals = profiler.symbol_totals();
+  for (size_t id = 0; id < totals.size(); ++id) {
+    report.overall.Merge(totals[id].counters);
+    report.by_broad[static_cast<size_t>(BroadOf(by_symbol[id]))].Merge(
+        totals[id].counters);
   }
   return report;
 }

@@ -1,7 +1,6 @@
 #include "profiling/report.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strings.h"
@@ -100,20 +99,30 @@ TextTable RenderResilienceReport(const ResilienceReport& report) {
 
 TextTable RenderTopSymbols(const CpuProfiler& profiler,
                            const FunctionRegistry& registry, size_t top_n) {
-  std::unordered_map<uint32_t, uint64_t> cycles_by_symbol;
+  // Ranked by cycles, ties by symbol id (first-sample order), so equal
+  // symbols always print in the same order.
+  struct Ranked {
+    uint64_t cycles;
+    uint32_t symbol_id;
+  };
+  std::vector<Ranked> ranked;
   uint64_t total_cycles = 0;
-  for (const CpuSample& sample : profiler.samples()) {
-    cycles_by_symbol[sample.symbol_id] += sample.counters.cycles;
-    total_cycles += sample.counters.cycles;
+  const std::vector<SymbolTotals>& totals = profiler.symbol_totals();
+  for (size_t id = 0; id < totals.size(); ++id) {
+    if (totals[id].samples == 0) continue;
+    ranked.push_back({totals[id].counters.cycles(),
+                      static_cast<uint32_t>(id)});
+    total_cycles += totals[id].counters.cycles();
   }
-  std::vector<std::pair<uint32_t, uint64_t>> ranked(cycles_by_symbol.begin(),
-                                                    cycles_by_symbol.end());
   std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+            [](const Ranked& a, const Ranked& b) {
+              if (a.cycles != b.cycles) return a.cycles > b.cycles;
+              return a.symbol_id < b.symbol_id;
+            });
   if (ranked.size() > top_n) ranked.resize(top_n);
 
   TextTable table({"Leaf symbol", "Category", "Cycles%"});
-  for (const auto& [symbol_id, cycles] : ranked) {
+  for (const auto& [cycles, symbol_id] : ranked) {
     const std::string& symbol = profiler.SymbolName(symbol_id);
     FnCategory category = registry.Classify(symbol);
     double share = total_cycles > 0 ? static_cast<double>(cycles) /

@@ -19,7 +19,10 @@ uint32_t CpuProfiler::InternSymbol(const std::string& symbol) {
   auto [it, inserted] =
       symbol_ids_.try_emplace(symbol,
                               static_cast<uint32_t>(symbol_names_.size()));
-  if (inserted) symbol_names_.push_back(symbol);
+  if (inserted) {
+    symbol_names_.push_back(symbol);
+    totals_.emplace_back();
+  }
   return it->second;
 }
 
@@ -45,29 +48,34 @@ void CpuProfiler::RecordActivity(const std::string& symbol, SimTime duration,
   if (rng.NextBool(expected - std::floor(expected))) ++count;
   if (count == 0) return;
   uint32_t symbol_id = InternSymbol(symbol);
+  SymbolTotals& cell = totals_[symbol_id];
   uint64_t cycles_per_sample =
       static_cast<uint64_t>(CyclesPerSample() + 0.5);
   for (uint64_t i = 0; i < count; ++i) {
-    CpuSample sample;
-    sample.symbol_id = symbol_id;
-    sample.counters = SynthesizeCounters(profile, cycles_per_sample, rng);
-    samples_.push_back(sample);
+    cell.counters.Add(SynthesizeCounters(profile, cycles_per_sample, rng));
   }
+  cell.samples += count;
+  sample_count_ += count;
 }
 
 void CpuProfiler::AbsorbSamples(const CpuProfiler& other) {
-  samples_.reserve(samples_.size() + other.samples_.size());
-  for (const CpuSample& sample : other.samples_) {
-    CpuSample copy = sample;
-    copy.symbol_id = InternSymbol(other.symbol_names_[sample.symbol_id]);
-    samples_.push_back(copy);
+  for (size_t id = 0; id < other.totals_.size(); ++id) {
+    const SymbolTotals& from = other.totals_[id];
+    // A symbol interned without samples was never sampled; appending
+    // samples would not have interned it here either.
+    if (from.samples == 0) continue;
+    uint32_t symbol_id = InternSymbol(other.symbol_names_[id]);
+    SymbolTotals& cell = totals_[symbol_id];
+    cell.samples += from.samples;
+    cell.counters.Merge(from.counters);
   }
+  sample_count_ += other.sample_count_;
   total_cpu_time_ += other.total_cpu_time_;
   activities_ += other.activities_;
 }
 
 size_t CpuProfiler::memory_bytes() const {
-  size_t bytes = samples_.capacity() * sizeof(CpuSample) +
+  size_t bytes = totals_.capacity() * sizeof(SymbolTotals) +
                  symbol_names_.capacity() * sizeof(std::string);
   for (const std::string& name : symbol_names_) bytes += name.capacity();
   // Hash map bookkeeping: roughly one bucket pointer plus one node per

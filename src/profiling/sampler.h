@@ -13,13 +13,14 @@
 namespace hyperprof::profiling {
 
 /**
- * One GWP-style CPU sample: interned leaf symbol + PMU counter deltas.
- * Symbols are interned because a fleet-day of samples repeats a few
- * hundred leaf functions millions of times.
+ * Folded samples of one interned leaf symbol: how many GWP-style samples
+ * landed on it and the sum of their PMU counter deltas. Every consumer of
+ * the profile sums exact integers per symbol, so these totals carry the
+ * whole profile; storage is one cell per symbol, whatever the run length.
  */
-struct CpuSample {
-  uint32_t symbol_id = 0;
-  CounterDelta counters;
+struct SymbolTotals {
+  uint64_t samples = 0;
+  CounterRollup counters;
 };
 
 /**
@@ -32,6 +33,10 @@ struct CpuSample {
  * expectation), synthesizing PMU counters from the activity's
  * microarchitectural profile. Cycle attribution is sample-count x period,
  * exactly how GWP-derived cycle breakdowns are computed.
+ *
+ * Samples are folded into per-symbol totals as they are taken. Symbols
+ * are interned in the order of their first sample, so symbol ids, like
+ * the totals, are a function of the sample stream alone.
  */
 class CpuProfiler {
  public:
@@ -59,21 +64,27 @@ class CpuProfiler {
                       const MicroarchProfile& profile, Rng& rng);
 
   /**
-   * Copies every sample of `other` into this profiler, re-interning
-   * symbols into this profiler's table, and folds its activity totals.
-   * Used to merge per-shard profilers into one platform view; all
-   * downstream reports aggregate counters by symbol, so append order is
-   * not observable in results.
+   * Adds every symbol's totals of `other` into this profiler, visiting
+   * `other`'s symbols in id order and re-interning each into this
+   * profiler's table, and folds its activity totals. Used to merge
+   * per-shard profilers into one platform view. Ids follow first-sample
+   * order, so the merged ids are those of appending `other`'s samples one
+   * by one; the totals are integer sums, so they are exact in any order.
    */
   void AbsorbSamples(const CpuProfiler& other);
 
   /**
-   * Bytes of sample/symbol storage currently reserved (capacities, not
-   * sizes). RSS-independent input to the fleet's memory accounting.
+   * Bytes of symbol and totals storage currently reserved (capacities,
+   * not sizes). RSS-independent input to the fleet's memory accounting;
+   * it grows with distinct symbols, not with samples taken.
    */
   size_t memory_bytes() const;
 
-  const std::vector<CpuSample>& samples() const { return samples_; }
+  /** Samples taken so far, over all symbols. */
+  uint64_t sample_count() const { return sample_count_; }
+
+  /** Folded samples per symbol, indexed by interned symbol id. */
+  const std::vector<SymbolTotals>& symbol_totals() const { return totals_; }
 
   /** Resolves an interned symbol id back to its name. */
   const std::string& SymbolName(uint32_t symbol_id) const;
@@ -91,7 +102,8 @@ class CpuProfiler {
   SimTime sample_period_;
   double cpu_hz_;
   Rng rng_;
-  std::vector<CpuSample> samples_;
+  std::vector<SymbolTotals> totals_;  // [symbol id]
+  uint64_t sample_count_ = 0;
   std::unordered_map<std::string, uint32_t> symbol_ids_;
   std::vector<std::string> symbol_names_;
   SimTime total_cpu_time_;

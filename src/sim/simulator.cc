@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace hyperprof::sim {
@@ -21,19 +22,35 @@ EventId Simulator::Schedule(SimTime delay, Callback fn) {
 }
 
 EventId Simulator::ScheduleAt(SimTime when, Callback fn) {
-  return ScheduleAtImpl(when, std::move(fn), /*flagged=*/false);
+  return ScheduleAtImpl(when, next_order_++, std::move(fn),
+                        /*flagged=*/false);
 }
 
 EventId Simulator::ScheduleFlagged(SimTime delay, Callback fn) {
   if (delay < SimTime::Zero()) delay = SimTime::Zero();
-  return ScheduleAtImpl(now_ + delay, std::move(fn), /*flagged=*/true);
+  return ScheduleAtImpl(now_ + delay, next_order_++, std::move(fn),
+                        /*flagged=*/true);
 }
 
 EventId Simulator::ScheduleFlaggedAt(SimTime when, Callback fn) {
-  return ScheduleAtImpl(when, std::move(fn), /*flagged=*/true);
+  return ScheduleAtImpl(when, next_order_++, std::move(fn),
+                        /*flagged=*/true);
 }
 
-EventId Simulator::ScheduleAtImpl(SimTime when, Callback fn, bool flagged) {
+uint64_t Simulator::ReserveOrders(uint64_t count) {
+  uint64_t first = next_order_;
+  next_order_ += count;
+  return first;
+}
+
+EventId Simulator::ScheduleReservedAt(SimTime when, uint64_t order,
+                                      Callback fn, bool flagged) {
+  assert(order < next_order_ && "order was not reserved");
+  return ScheduleAtImpl(when, order, std::move(fn), flagged);
+}
+
+EventId Simulator::ScheduleAtImpl(SimTime when, uint64_t order, Callback fn,
+                                  bool flagged) {
   if (when < now_) when = now_;
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -46,7 +63,7 @@ EventId Simulator::ScheduleAtImpl(SimTime when, Callback fn, bool flagged) {
   Slot& cell = slots_[slot];
   cell.fn = std::move(fn);
   cell.flagged = flagged;
-  HeapEntry entry{when, next_order_++, slot, cell.gen};
+  HeapEntry entry{when, order, slot, cell.gen};
   heap_.push_back(entry);
   std::push_heap(heap_.begin(), heap_.end(), After{});
   if (flagged) {

@@ -65,6 +65,28 @@ class Simulator {
   EventId ScheduleFlaggedAt(SimTime when, Callback fn);
 
   /**
+   * Reserves `count` consecutive tie-break orders and returns the first.
+   * Every schedule call takes the next order, so an event scheduled later
+   * with ScheduleReservedAt(when, first + i, ...) keeps the (time, order)
+   * key it would have had if it were scheduled now: a producer can feed a
+   * long sequence that is known up front one event at a time, holding one
+   * pending event instead of the whole sequence. The firing order and
+   * next_event_time() stay as if the sequence had been scheduled eagerly
+   * as long as each event is scheduled before any event with a larger key
+   * fires; flagged_horizon() stays too when flagged and unflagged events
+   * of the sequence are fed by a producer each.
+   */
+  uint64_t ReserveOrders(uint64_t count);
+
+  /**
+   * Schedules `fn` at `when` (clamped to Now()) with an `order` from
+   * ReserveOrders; each reserved order is used at most once. `flagged`
+   * tracks the event for flagged_horizon() like ScheduleFlaggedAt.
+   */
+  EventId ScheduleReservedAt(SimTime when, uint64_t order, Callback fn,
+                             bool flagged);
+
+  /**
    * Cancels a pending event; returns true if it had not yet fired. O(1):
    * the callback is destroyed immediately and the slot's generation bumps,
    * leaving a stale heap entry that pop skips by generation mismatch.
@@ -140,7 +162,8 @@ class Simulator {
     bool flagged = false;  // current occupant is tracked in flagged_heap_
   };
 
-  EventId ScheduleAtImpl(SimTime when, Callback fn, bool flagged);
+  EventId ScheduleAtImpl(SimTime when, uint64_t order, Callback fn,
+                         bool flagged);
 
   /** Pops the heap top and returns it. */
   HeapEntry PopTop();

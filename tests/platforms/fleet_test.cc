@@ -179,6 +179,31 @@ TEST(FleetMemoryTest, WarmCachesStoreNoEntryPerWarmBlock) {
   EXPECT_GT(fleet.DfsOf(0).server_store(0).ssd_cache().entry_count(), 0u);
 }
 
+TEST(FleetMemoryTest, SimulationMemoryIndependentOfRunLength) {
+  // The kernel holds in-flight events (arrivals come from one cursor per
+  // flag class) and the profiler one totals cell per symbol, so ten times
+  // the queries may grow neither layer by more than a quarter. Retaining
+  // every arrival event and every sample grew them 5-8x.
+  for (uint32_t shards : {0u, 3u}) {
+    SCOPED_TRACE(shards);
+    auto run = [shards](uint64_t queries) {
+      FleetConfig config;
+      config.queries_per_platform = queries;
+      config.shards_per_platform = shards;
+      config.parallelism = 1;
+      FleetSimulation fleet(config);
+      fleet.AddPlatform(SpannerSpec());
+      fleet.RunAll();
+      EXPECT_EQ(fleet.Result(0).queries_completed, queries);
+      return fleet.MemoryStats();
+    };
+    const FleetMemoryStats short_run = run(2000);
+    const FleetMemoryStats long_run = run(20000);
+    EXPECT_LE(long_run.kernel_bytes * 4, short_run.kernel_bytes * 5);
+    EXPECT_LE(long_run.profiler_bytes * 4, short_run.profiler_bytes * 5);
+  }
+}
+
 TEST_F(FleetTest, SpannerConsensusSpansComeFromRealPaxos) {
   // Every sampled read_write_txn / global_commit trace must contain a
   // consensus remote-work span produced by an actual Paxos round.

@@ -89,5 +89,28 @@ TEST(ReportTest, TopSymbolsHonorsLimit) {
   EXPECT_EQ(lines, 5);
 }
 
+TEST(ReportTest, TopSymbolsBreaksCycleTiesByFirstSample) {
+  CpuProfiler profiler(SimTime::Micros(10), 3e9, Rng(3));
+  MicroarchProfile profile;
+  profile.ipc = 1.0;
+  // Whole periods draw no fractional sample, so both symbols get exactly
+  // 500 samples of equal cycles; "zeta" is sampled first.
+  profiler.RecordActivity("zeta", SimTime::Millis(5), profile);
+  profiler.RecordActivity("alpha", SimTime::Millis(5), profile);
+  const auto& totals = profiler.symbol_totals();
+  ASSERT_EQ(totals.size(), 2u);
+  ASSERT_EQ(totals[0].counters.cycles(), totals[1].counters.cycles());
+  FunctionRegistry registry;
+  std::string both = RenderTopSymbols(profiler, registry, 10).ToString();
+  size_t zeta_pos = both.find("zeta");
+  size_t alpha_pos = both.find("alpha");
+  ASSERT_NE(zeta_pos, std::string::npos);
+  ASSERT_NE(alpha_pos, std::string::npos);
+  EXPECT_LT(zeta_pos, alpha_pos);
+  std::string top = RenderTopSymbols(profiler, registry, 1).ToString();
+  EXPECT_NE(top.find("zeta"), std::string::npos);
+  EXPECT_EQ(top.find("alpha"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace hyperprof::profiling

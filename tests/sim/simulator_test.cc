@@ -1,9 +1,12 @@
 #include "sim/simulator.h"
 
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace hyperprof::sim {
 namespace {
@@ -246,6 +249,139 @@ TEST(SimulatorTest, FlaggedHeapCompactsAcrossRepeatedDrains) {
   // Stale entries are compacted in place, so the flagged bookkeeping
   // stays proportional to pending events, not total ever scheduled.
   EXPECT_LT(simulator.memory_bytes(), 64 * 1024u);
+}
+
+/** One fired event and the kernel's view right after its callback. */
+struct FiredRecord {
+  uint64_t label;
+  SimTime now;
+  SimTime next;
+  SimTime horizon;
+  int cancelled;  // -1 no cancel attempted, else Cancel()'s result
+  bool operator==(const FiredRecord& o) const {
+    return std::tie(label, now, next, horizon, cancelled) ==
+           std::tie(o.label, o.now, o.next, o.horizon, o.cancelled);
+  }
+};
+
+/**
+ * A randomized script run either with its known-ahead stream scheduled
+ * up front (the reference) or fed through one self-rescheduling cursor
+ * per flag class on orders reserved up front. Labels 0..K-1 are stream
+ * events; ordinary events are labelled K, K+1, ... in creation order.
+ * Each event's reaction (children with zero or small delays, flagged or
+ * not, and cancels of earlier ordinary events) is a function of its
+ * label, so both runs build the same events if they fire in the same
+ * order.
+ */
+class ScriptRun {
+ public:
+  struct StreamEvent {
+    SimTime when;
+    bool flagged;
+  };
+
+  ScriptRun(uint64_t seed, const std::vector<StreamEvent>& stream,
+            bool cursors)
+      : seed_(seed), stream_(stream), cursors_(cursors) {}
+
+  std::vector<FiredRecord> Run() {
+    // Ordinary events scheduled before and after the stream straddle its
+    // orders.
+    for (int i = 0; i < 3; ++i) AddOrdinary(SimTime::Micros(i * 7), i == 1);
+    if (cursors_) {
+      first_order_ = sim_.ReserveOrders(stream_.size());
+      for (int cls = 0; cls < 2; ++cls) ScheduleNext(cls);
+    } else {
+      for (uint64_t i = 0; i < stream_.size(); ++i) {
+        auto fn = [this, i] { Fire(i); };
+        if (stream_[i].flagged) {
+          sim_.ScheduleFlaggedAt(stream_[i].when, fn);
+        } else {
+          sim_.ScheduleAt(stream_[i].when, fn);
+        }
+      }
+    }
+    for (int i = 0; i < 3; ++i) AddOrdinary(SimTime::Micros(i * 5), i == 2);
+    // Step one instant at a time and check the view between steps too.
+    while (sim_.next_event_time() != SimTime::Max()) {
+      sim_.RunUntil(sim_.next_event_time());
+      log_.push_back({~uint64_t{0}, sim_.Now(), sim_.next_event_time(),
+                      sim_.flagged_horizon(), -1});
+    }
+    return log_;
+  }
+
+ private:
+  void AddOrdinary(SimTime delay, bool flagged) {
+    uint64_t label = stream_.size() + ids_.size();
+    auto fn = [this, label] { Fire(label); };
+    ids_.push_back(flagged ? sim_.ScheduleFlagged(delay, fn)
+                           : sim_.Schedule(delay, fn));
+  }
+
+  void ScheduleNext(int cls) {
+    uint64_t& i = next_[cls];
+    while (i < stream_.size() && stream_[i].flagged != (cls == 1)) ++i;
+    if (i == stream_.size()) return;
+    uint64_t label = i++;
+    sim_.ScheduleReservedAt(
+        stream_[label].when, first_order_ + label,
+        [this, cls, label] {
+          ScheduleNext(cls);
+          Fire(label);
+        },
+        cls == 1);
+  }
+
+  void Fire(uint64_t label) {
+    Rng rng(seed_ * 0x9e3779b97f4a7c15ULL + label + 1);
+    uint64_t children = rng.NextBounded(3);
+    for (uint64_t c = 0; c < children && ids_.size() < 400; ++c) {
+      AddOrdinary(SimTime::Micros(static_cast<int64_t>(rng.NextBounded(4))),
+                  rng.NextBool(0.3));
+    }
+    int cancelled = -1;
+    if (rng.NextBool(0.25)) {
+      cancelled = sim_.Cancel(ids_[rng.NextBounded(ids_.size())]) ? 1 : 0;
+    }
+    log_.push_back({label, sim_.Now(), sim_.next_event_time(),
+                    sim_.flagged_horizon(), cancelled});
+  }
+
+  Simulator sim_;
+  uint64_t seed_;
+  const std::vector<StreamEvent>& stream_;
+  bool cursors_;
+  uint64_t first_order_ = 0;
+  uint64_t next_[2] = {0, 0};
+  std::vector<EventId> ids_;  // ordinary events, by label - K
+  std::vector<FiredRecord> log_;
+};
+
+TEST(SimulatorTest, ReservedOrdersFireLikeEagerSchedule) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    // Seeds 5, 10, ... leave the flagged class empty.
+    double flagged_p = seed % 5 == 0 ? 0.0 : 0.4;
+    std::vector<ScriptRun::StreamEvent> stream;
+    SimTime when = SimTime::Micros(2);
+    for (int i = 0; i < 200; ++i) {
+      // Gaps of 0-2 us: many same-instant ties within the stream and
+      // with the ordinary events.
+      when += SimTime::Micros(static_cast<int64_t>(rng.NextBounded(3)));
+      stream.push_back({when, rng.NextBool(flagged_p)});
+    }
+    std::vector<FiredRecord> eager = ScriptRun(seed, stream, false).Run();
+    std::vector<FiredRecord> cursor = ScriptRun(seed, stream, true).Run();
+    ASSERT_GT(eager.size(), 2 * stream.size());
+    ASSERT_EQ(cursor.size(), eager.size());
+    for (size_t i = 0; i < eager.size(); ++i) {
+      ASSERT_EQ(cursor[i], eager[i]) << "step " << i << " label "
+                                     << eager[i].label;
+    }
+  }
 }
 
 }  // namespace
