@@ -95,12 +95,12 @@ void PaxosGroup::StartAttempt(std::shared_ptr<ProposerRun> run) {
     options.request_bytes = params_.message_bytes;
     options.response_bytes = params_.message_bytes;
     if (params_.private_rpc_draws) options.rng = &rng_;
-    rpc_->Call(
-        run->node, acceptor_nodes_[i], options,
-        [this, i, ballot, reply](std::function<void()> respond) {
+    rpc_->CallWithPolicy(
+        run->node, acceptor_nodes_[i], options, net::RpcCallPolicy{},
+        [this, i, ballot, reply](net::RpcSystem::Respond respond) {
           simulator_->Schedule(
               params_.acceptor_service_time,
-              [this, i, ballot, reply, respond = std::move(respond)]() {
+              [this, i, ballot, reply, respond]() {
                 AcceptorState& acceptor = acceptors_[i];
                 if (ballot > acceptor.promised_ballot) {
                   acceptor.promised_ballot = ballot;
@@ -115,7 +115,7 @@ void PaxosGroup::StartAttempt(std::shared_ptr<ProposerRun> run) {
                 respond();
               });
         },
-        [this, run, state, reply, ballot](const net::RpcResult&) {
+        [this, run, state, reply, ballot](const net::RpcOutcome&) {
           ++state->replies;
           if (reply->ok) {
             ++state->promises;
@@ -170,13 +170,12 @@ void PaxosGroup::RunPhase2(std::shared_ptr<ProposerRun> run, uint64_t ballot,
     options.request_bytes = params_.message_bytes;
     options.response_bytes = 128;
     if (params_.private_rpc_draws) options.rng = &rng_;
-    rpc_->Call(
-        run->node, acceptor_nodes_[i], options,
-        [this, i, ballot, proposed, reply](std::function<void()> respond) {
+    rpc_->CallWithPolicy(
+        run->node, acceptor_nodes_[i], options, net::RpcCallPolicy{},
+        [this, i, ballot, proposed, reply](net::RpcSystem::Respond respond) {
           simulator_->Schedule(
               params_.acceptor_service_time,
-              [this, i, ballot, proposed, reply,
-               respond = std::move(respond)]() {
+              [this, i, ballot, proposed, reply, respond]() {
                 AcceptorState& acceptor = acceptors_[i];
                 if (ballot >= acceptor.promised_ballot) {
                   acceptor.promised_ballot = ballot;
@@ -191,7 +190,7 @@ void PaxosGroup::RunPhase2(std::shared_ptr<ProposerRun> run, uint64_t ballot,
                 respond();
               });
         },
-        [this, run, state, reply, proposed](const net::RpcResult&) {
+        [this, run, state, reply, proposed](const net::RpcOutcome&) {
           ++state->replies;
           if (reply->ok) {
             ++state->accepts;

@@ -2,10 +2,14 @@
 
 #include <cmath>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace hyperprof::net {
+
+static_assert(std::is_trivially_copyable_v<RpcSystem::Respond>,
+              "a handler's respond token must copy without allocating");
 
 RpcSystem::RpcSystem(sim::Simulator* sim, const NetworkModel* network,
                      Rng rng)
@@ -23,29 +27,18 @@ Rng& RpcSystem::ResilienceRng() {
                                  : fallback_resilience_rng_;
 }
 
-void RpcSystem::FailAfter(SimTime delay, std::shared_ptr<RpcResult> result,
-                          Completion on_complete) {
-  sim_->Schedule(delay, [this, result,
-                         on_complete = std::move(on_complete)]() {
-    result->completed_at = sim_->Now();
-    ++failed_calls_;
-    if (on_complete) on_complete(*result);
-  });
-}
-
 void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
-                              const RpcOptions& options, Handler handler,
-                              Completion on_complete, bool silent_drop) {
-  auto result = std::make_shared<RpcResult>();
-  result->issued_at = sim_->Now();
-
+                              const RpcOptions& options, Handler& handler,
+                              Completion& on_result,
+                              PolicyCompletion& on_outcome,
+                              bool silent_drop) {
+  const SimTime issued_at = sim_->Now();
   // Caller-supplied stream (sharded engines) or the system stream.
   Rng& draw_rng = options.rng != nullptr ? *options.rng : rng_;
   SimTime request_time =
       network_->MessageTime(from, to, options.request_bytes, draw_rng);
   SimTime response_time =
       network_->MessageTime(to, from, options.response_bytes, draw_rng);
-  result->network_time = request_time + response_time;
 
   // Fault draws happen strictly after the network draws, from the fault
   // model's private stream (or the caller's, when supplied): a disarmed
@@ -58,23 +51,33 @@ void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
                                        *options.rng)
                 : fault_model_->Decide(options.method, to, sim_->Now());
   }
+  // The request vanishes in the fabric. A policy attempt with its own
+  // timeout hears nothing (the timeout is the rescue).
+  if (fault.kind == FaultDecision::Kind::kDrop && silent_drop) return;
+
+  const uint32_t index = exchanges_.Acquire();
+  Exchange& exchange = exchanges_[index];
+  exchange.result = RpcResult{};
+  exchange.result.issued_at = issued_at;
+  exchange.result.network_time = request_time + response_time;
+  exchange.on_result = std::move(on_result);
+  exchange.on_outcome = std::move(on_outcome);
   switch (fault.kind) {
     case FaultDecision::Kind::kDrop:
-      // The request vanishes in the fabric. A policy attempt with its own
-      // timeout hears nothing (the timeout is the rescue); a plain call
-      // gets the loss surfaced as an error after the round trip it would
-      // have taken, so no caller can hang forever.
-      if (silent_drop) return;
-      result->status = Status(fault.code, "rpc request dropped");
-      FailAfter(request_time + response_time, result,
-                std::move(on_complete));
-      return;
     case FaultDecision::Kind::kError:
-      // The server's front door rejects after request transport; the
+      // A plain call gets a drop surfaced as an error after the round trip
+      // it would have taken, so no caller can hang forever. A rejection
+      // comes from the server's front door after request transport; the
       // (small) error response rides the drawn response time.
-      result->status = Status(fault.code, "rpc rejected by server");
-      FailAfter(request_time + response_time, result,
-                std::move(on_complete));
+      exchange.result.status =
+          fault.kind == FaultDecision::Kind::kDrop
+              ? Status(fault.code, "rpc request dropped")
+              : Status(fault.code, "rpc rejected by server");
+      sim_->Schedule(request_time + response_time, [this, index]() {
+        exchanges_[index].result.completed_at = sim_->Now();
+        ++failed_calls_;
+        FinishExchange(index);
+      });
       return;
     case FaultDecision::Kind::kSlow:
       // Degraded server: the response is delayed. Kept out of
@@ -85,47 +88,75 @@ void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
     case FaultDecision::Kind::kNone:
       break;
   }
+  exchange.handler = std::move(handler);
+  exchange.response_time = response_time;
+  sim_->Schedule(request_time, [this, index]() { OnRequest(index); });
+}
 
-  sim_->Schedule(request_time, [this, result, response_time,
-                                handler = std::move(handler),
-                                on_complete = std::move(on_complete)]() {
-    SimTime handler_start = sim_->Now();
-    handler([this, result, response_time, handler_start,
-             on_complete = std::move(on_complete)]() {
-      result->server_time = sim_->Now() - handler_start;
-      sim_->Schedule(response_time, [this, result,
-                                     on_complete = std::move(on_complete)]() {
-        result->completed_at = sim_->Now();
-        ++completed_calls_;
-        latency_hist_.Add(result->Total().ToSeconds());
-        if (on_complete) on_complete(*result);
-      });
-    });
+void RpcSystem::OnRequest(uint32_t index) {
+  Exchange& exchange = exchanges_[index];
+  exchange.handler_start = sim_->Now();
+  // Run the handler from a local, so its captures are released when it
+  // returns rather than when the record is next reused.
+  Handler handler = std::move(exchange.handler);
+  handler(Respond(this, index));
+}
+
+void RpcSystem::OnRespond(uint32_t index) {
+  Exchange& exchange = exchanges_[index];
+  exchange.result.server_time = sim_->Now() - exchange.handler_start;
+  sim_->Schedule(exchange.response_time, [this, index]() {
+    Exchange& done = exchanges_[index];
+    done.result.completed_at = sim_->Now();
+    ++completed_calls_;
+    latency_hist_.Add(done.result.Total().ToSeconds());
+    FinishExchange(index);
   });
 }
 
-void RpcSystem::Call(const NodeId& from, const NodeId& to,
-                     const RpcOptions& options, Handler handler,
-                     Completion on_complete) {
-  StartExchange(from, to, options, std::move(handler),
-                std::move(on_complete), /*silent_drop=*/false);
+void RpcSystem::FinishExchange(uint32_t index) {
+  // Take everything the completion needs out of the record and recycle it
+  // first: the completion may start the next exchange on the same record.
+  Exchange& exchange = exchanges_[index];
+  RpcResult result = std::move(exchange.result);
+  Completion on_result = std::move(exchange.on_result);
+  PolicyCompletion on_outcome = std::move(exchange.on_outcome);
+  exchanges_.Release(index);
+  if (on_outcome) {
+    RpcOutcome outcome;
+    outcome.status = result.status;
+    outcome.result = std::move(result);
+    outcome.attempts = 1;
+    outcome.failures = outcome.result.ok() ? 0 : 1;
+    on_outcome(outcome);
+  } else if (on_result) {
+    on_result(result);
+  }
+}
+
+RpcSystem::Handler RpcSystem::FixedServer(SimTime server_time) {
+  auto server = [this, server_time](Respond respond) {
+    sim_->Schedule(server_time, respond);
+  };
+  static_assert(Handler::fits_inline<decltype(server)>(),
+                "a fixed-cost server must not allocate");
+  return server;
 }
 
 void RpcSystem::CallFixed(const NodeId& from, const NodeId& to,
                           const RpcOptions& options, SimTime server_time,
                           Completion on_complete) {
-  Call(
-      from, to, options,
-      [this, server_time](std::function<void()> respond) {
-        sim_->Schedule(server_time, std::move(respond));
-      },
-      std::move(on_complete));
+  Handler handler = FixedServer(server_time);
+  PolicyCompletion no_outcome;
+  StartExchange(from, to, options, handler, on_complete, no_outcome,
+                /*silent_drop=*/false);
 }
 
 /**
  * State of one logical policy call. Kept alive by shared_ptr captures in
  * the per-attempt completions and timers; at most two attempts are ever
- * outstanding (current + hedge).
+ * outstanding (current + hedge). Each attempt is one pooled wire exchange
+ * whose handler forwards to `handler`.
  */
 struct RpcSystem::PolicyCall {
   NodeId from;
@@ -149,28 +180,27 @@ struct RpcSystem::PolicyCall {
   uint32_t outstanding = 0;
 };
 
+void RpcSystem::CallFixedWithPolicy(const NodeId& from, const NodeId& to,
+                                    const RpcOptions& options,
+                                    const RpcCallPolicy& policy,
+                                    SimTime server_time,
+                                    PolicyCompletion on_complete) {
+  CallWithPolicy(from, to, options, policy, FixedServer(server_time),
+                 std::move(on_complete));
+}
+
 void RpcSystem::CallWithPolicy(const NodeId& from, const NodeId& to,
                                const RpcOptions& options,
                                const RpcCallPolicy& policy, Handler handler,
                                PolicyCompletion on_complete) {
   if (policy.Plain()) {
-    // Single attempt, no timers, no extra draws: the wrapping below is
-    // synchronous bookkeeping, so this path schedules exactly the events
-    // the legacy Call would.
-    StartExchange(
-        from, to, options, std::move(handler),
-        [on_complete = std::move(on_complete)](const RpcResult& result) {
-          RpcOutcome outcome;
-          outcome.status = result.status;
-          outcome.result = result;
-          outcome.attempts = 1;
-          outcome.failures = result.ok() ? 0 : 1;
-          if (on_complete) on_complete(outcome);
-        },
-        /*silent_drop=*/false);
+    // Single attempt, no timers, no extra draws: the exchange CallFixed
+    // runs, completing straight into `on_complete`.
+    Completion no_result;
+    StartExchange(from, to, options, handler, no_result, on_complete,
+                  /*silent_drop=*/false);
     return;
   }
-
   auto call = std::make_shared<PolicyCall>();
   call->from = from;
   call->to = to;
@@ -192,19 +222,6 @@ void RpcSystem::CallWithPolicy(const NodeId& from, const NodeId& to,
           IssueAttempt(call, /*is_hedge=*/true);
         });
   }
-}
-
-void RpcSystem::CallFixedWithPolicy(const NodeId& from, const NodeId& to,
-                                    const RpcOptions& options,
-                                    const RpcCallPolicy& policy,
-                                    SimTime server_time,
-                                    PolicyCompletion on_complete) {
-  CallWithPolicy(
-      from, to, options, policy,
-      [this, server_time](std::function<void()> respond) {
-        sim_->Schedule(server_time, std::move(respond));
-      },
-      std::move(on_complete));
 }
 
 void RpcSystem::IssueAttempt(std::shared_ptr<PolicyCall> call,
@@ -229,12 +246,13 @@ void RpcSystem::IssueAttempt(std::shared_ptr<PolicyCall> call,
         });
   }
   call->attempts.push_back(attempt);
-  StartExchange(
-      call->from, call->to, call->options, call->handler,
-      [this, call, index](const RpcResult& result) {
-        OnAttemptResult(call, index, result);
-      },
-      silent_drop);
+  Handler handler = [call](Respond respond) { call->handler(respond); };
+  Completion on_result = [this, call, index](const RpcResult& result) {
+    OnAttemptResult(call, index, result);
+  };
+  PolicyCompletion no_outcome;
+  StartExchange(call->from, call->to, call->options, handler, on_result,
+                no_outcome, silent_drop);
 }
 
 void RpcSystem::OnAttemptResult(std::shared_ptr<PolicyCall> call,

@@ -2,13 +2,14 @@
 #define HYPERPROF_NET_RPC_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/slot_pool.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "net/fault.h"
@@ -30,7 +31,7 @@ struct RpcOptions {
   // from this stream instead of the RpcSystem / FaultModel streams. Shard
   // engines point it at the issuing query's private stream so draw order
   // is a property of the query, not of which other queries share the
-  // kernel. Read only during the synchronous prefix of Call/CallFixed;
+  // kernel. Read only during the synchronous prefix of a plain call;
   // policy calls retain the pointer across retries, so callers combining
   // both must keep the stream alive until completion.
   Rng* rng = nullptr;
@@ -55,8 +56,8 @@ struct RpcResult {
  * percentile — see RpcSystem::LatencyQuantile).
  *
  * The zero-initialized policy is "plain": one attempt, no timers, no
- * draws — bit-identical to the legacy Call path, which is what keeps
- * fault-free runs unperturbed by the resilience layer.
+ * draws — the same single wire exchange CallFixed runs, which is what
+ * keeps fault-free runs unperturbed by the resilience layer.
  */
 struct RpcCallPolicy {
   SimTime timeout;               // per attempt; Zero = none
@@ -106,16 +107,34 @@ struct RpcOutcome {
  * An installed FaultModel can drop, reject, or slow individual attempts;
  * CallWithPolicy layers timeouts, retries, and hedging on top so callers
  * observe tail-tolerant behaviour instead of raw faults. Failures surface
- * as common::Status on RpcResult / RpcOutcome — a plain Call never hangs:
+ * as common::Status on RpcResult / RpcOutcome — a plain call never hangs:
  * a dropped request with no policy above it completes with kUnavailable
  * once its round trip would have finished.
  */
 class RpcSystem {
  public:
+  /**
+   * The server's response continuation: a handler invokes it exactly once
+   * (immediately or from a later event) to send the response back. It is
+   * an (RpcSystem, exchange index) pair, trivially copyable, so handlers
+   * can copy it into Simulator callbacks without allocating.
+   */
+  class Respond {
+   public:
+    void operator()() const { rpc_->OnRespond(index_); }
+
+   private:
+    friend class RpcSystem;
+    Respond(RpcSystem* rpc, uint32_t index) : rpc_(rpc), index_(index) {}
+
+    RpcSystem* rpc_;
+    uint32_t index_;
+  };
+
   /** Handler runs at the server; it must invoke `respond` exactly once. */
-  using Handler = std::function<void(std::function<void()> respond)>;
-  using Completion = std::function<void(const RpcResult&)>;
-  using PolicyCompletion = std::function<void(const RpcOutcome&)>;
+  using Handler = InlineFunction<void(Respond respond)>;
+  using Completion = InlineFunction<void(const RpcResult&)>;
+  using PolicyCompletion = InlineFunction<void(const RpcOutcome&)>;
 
   RpcSystem(sim::Simulator* sim, const NetworkModel* network, Rng rng);
 
@@ -131,29 +150,26 @@ class RpcSystem {
   const FaultModel* fault_model() const { return fault_model_; }
 
   /**
-   * Issues an RPC from `from` to `to`. The handler executes at the server
-   * after request transport; once it responds, the response is transported
-   * back and `on_complete` fires at the caller.
-   */
-  void Call(const NodeId& from, const NodeId& to, const RpcOptions& options,
-            Handler handler, Completion on_complete);
-
-  /**
-   * Convenience for fixed-cost servers: the handler is a pure delay of
-   * `server_time`.
+   * Issues an RPC from `from` to `to` to a fixed-cost server: the handler
+   * is a pure delay of `server_time`. Once the response is transported
+   * back, `on_complete` fires at the caller.
    */
   void CallFixed(const NodeId& from, const NodeId& to,
                  const RpcOptions& options, SimTime server_time,
                  Completion on_complete);
 
   /**
-   * Issues a logical call governed by `policy`: per-attempt timeouts,
-   * retries with exponential backoff, and an optional hedged second
-   * request. The handler may run more than once (one execution per wire
-   * attempt); the first successful attempt wins and any still-outstanding
-   * attempt is cancelled (its timers removed, its late completion
-   * discarded, its in-flight time accounted as wasted). `on_complete`
-   * fires exactly once.
+   * Issues a logical call governed by `policy`. The handler executes at the
+   * server after request transport; once it responds, the response is
+   * transported back and `on_complete` fires at the caller.
+   *
+   * A Plain() policy is one wire exchange with no timers and no extra
+   * draws. Otherwise the policy adds per-attempt timeouts, retries with
+   * exponential backoff, and an optional hedged second request. The
+   * handler may run more than once (one execution per wire attempt); the
+   * first successful attempt wins and any still-outstanding attempt is
+   * cancelled (its timers removed, its late completion discarded, its
+   * in-flight time accounted as wasted). `on_complete` fires exactly once.
    */
   void CallWithPolicy(const NodeId& from, const NodeId& to,
                       const RpcOptions& options, const RpcCallPolicy& policy,
@@ -197,19 +213,44 @@ class RpcSystem {
   struct PolicyCall;
 
   /**
-   * One wire exchange. `silent_drop` is set by policy attempts that own a
-   * timeout: an injected drop then delivers nothing (the timeout is the
-   * rescue). Otherwise a drop completes with an error after the full
-   * round-trip time so no caller can hang.
+   * State of one wire exchange, recycled through `exchanges_` (see
+   * DESIGN.md, continuation ownership). Every event of the exchange
+   * captures only (this, index). Exactly one of `on_result` (CallFixed,
+   * policy attempts) and `on_outcome` (plain policy calls) is set.
+   */
+  struct Exchange {
+    RpcResult result;
+    SimTime response_time;
+    SimTime handler_start;
+    Handler handler;
+    Completion on_result;
+    PolicyCompletion on_outcome;
+  };
+
+  /**
+   * Starts one wire exchange, taking the callbacks out of `handler`,
+   * `on_result` and `on_outcome`. `silent_drop` is set by policy attempts
+   * that own a timeout: an injected drop then delivers nothing (the
+   * timeout is the rescue). Otherwise a drop completes with an error after
+   * the full round-trip time so no caller can hang.
    */
   void StartExchange(const NodeId& from, const NodeId& to,
-                     const RpcOptions& options, Handler handler,
-                     Completion on_complete, bool silent_drop);
+                     const RpcOptions& options, Handler& handler,
+                     Completion& on_result, PolicyCompletion& on_outcome,
+                     bool silent_drop);
 
-  /** Schedules a failure completion `delay` from now. */
-  void FailAfter(SimTime delay, std::shared_ptr<RpcResult> result,
-                 Completion on_complete);
+  /** Request delivered: runs the handler. */
+  void OnRequest(uint32_t index);
+  /** The handler responded: schedules the response's arrival. */
+  void OnRespond(uint32_t index);
+  /**
+   * Final completion (success or failure): recycles the record, then
+   * fires the caller's completion.
+   */
+  void FinishExchange(uint32_t index);
 
+  /** The handler of a fixed-cost server: responds after `server_time`. */
+  Handler FixedServer(SimTime server_time);
   void IssueAttempt(std::shared_ptr<PolicyCall> call, bool is_hedge);
   void OnAttemptResult(std::shared_ptr<PolicyCall> call, size_t index,
                        const RpcResult& result);
@@ -229,6 +270,7 @@ class RpcSystem {
   // touched on fault-free plain paths, so it cannot perturb goldens.
   Rng fallback_resilience_rng_;
   FaultModel* fault_model_ = nullptr;
+  SlotPool<Exchange> exchanges_;
   uint64_t completed_calls_ = 0;
   uint64_t failed_calls_ = 0;
   uint64_t retries_issued_ = 0;

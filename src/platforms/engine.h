@@ -7,11 +7,14 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "net/rpc.h"
+#include "platforms/shuffle.h"
 #include "platforms/spec.h"
 #include "profiling/function_registry.h"
 #include "profiling/sampler.h"
 #include "profiling/tracer.h"
+#include "sim/barrier.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "storage/dfs.h"
@@ -211,6 +214,22 @@ class PlatformEngine {
     Rng query_rng{0};  // sharded: the query's stream past its arrival draws
   };
 
+  /**
+   * A compute (worker-pool), IO or remote phase in flight, recycled
+   * through `phase_runs_`: its continuations capture only (this, index)
+   * and the record owns the phase's `done` (DESIGN.md, continuation
+   * ownership).
+   */
+  struct PhaseRun {
+    std::shared_ptr<QueryState> query;
+    Done done;
+    SimTime start;        // span start: the phase's, or the IO wave's
+    SimTime span_length;  // compute: on-core time
+    profiling::NameId name = profiling::kInvalidNameId;
+    const IoPhaseSpec* io = nullptr;
+    int remaining = 0;    // IO blocks not yet issued
+  };
+
   /** Names and strings a remote phase needs per RPC, built once. */
   struct RemotePhaseInfo {
     profiling::NameId name_id = profiling::kInvalidNameId;
@@ -244,6 +263,16 @@ class PlatformEngine {
                       const RemotePhaseSpec& phase,
                       const RemotePhaseInfo& info, Done done);
   void FinishQuery(std::shared_ptr<QueryState> query);
+
+  /** Takes a PhaseRun record owning `query` and `done`. */
+  uint32_t AcquirePhaseRun(std::shared_ptr<QueryState> query, Done done);
+  /** Recycles the record, then runs its `done`. */
+  void FinishPhaseRun(uint32_t index);
+  /** Issues the IO phase's next wave, or finishes it when none is left. */
+  void IssueIoWave(uint32_t index);
+  void OnIoDone(uint32_t index, const storage::IoResult& io);
+  /** Records the remote phase's span and finishes it. */
+  void FinishRemotePhase(uint32_t index);
 
   double SampleLogNormalMean(Rng& rng, double mean, double sigma);
   /** The query's own stream in sharded mode, the engine stream otherwise. */
@@ -295,6 +324,10 @@ class PlatformEngine {
   // admission pops one back off, so a pipelined serving steady state
   // reuses the same handful of allocations forever.
   std::vector<std::shared_ptr<QueryState>> state_pool_;
+  SlotPool<PhaseRun> phase_runs_;
+  // Joins of overlapping phase groups, IO waves and remote fan-outs.
+  sim::BarrierPool barriers_;
+  ShuffleRunner shuffles_;
 };
 
 }  // namespace hyperprof::platforms

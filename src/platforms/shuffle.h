@@ -2,12 +2,12 @@
 #define HYPERPROF_PLATFORMS_SHUFFLE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/slot_pool.h"
 #include "net/rpc.h"
 #include "sim/simulator.h"
 
@@ -42,9 +42,10 @@ struct ShuffleParams {
   // from. Matches the engine's client population; raised by fleet-scale
   // runs.
   uint32_t worker_hosts = 64;
-  // Route the per-stream RPC network/fault draws through this operation's
-  // private rng rather than the RpcSystem's stream. Shard engines set
-  // this so co-resident queries cannot perturb each other's draws.
+  // Route the per-stream RPC network/fault draws through the shuffle's
+  // own rng (the one passed to Run) rather than the RpcSystem's stream.
+  // Shard engines set this so co-resident queries cannot perturb each
+  // other's draws.
   bool private_rpc_draws = false;
 };
 
@@ -60,34 +61,61 @@ struct ShuffleResult {
 };
 
 /**
- * Runs one shuffle between worker nodes. Mappers live on the caller's
+ * Runs shuffles between worker nodes. Mappers live on the caller's
  * cluster; reducers are spread over the region's clusters.
+ *
+ * One runner serves any number of concurrent shuffles. Each shuffle's
+ * state is a recycled record (see DESIGN.md, continuation ownership): its
+ * per-stream sends and completions capture only (runner, record, stream),
+ * and the partition vectors are the record's reused scratch, so a warmed
+ * runner starts shuffles without allocating.
  */
-class ShuffleOperation {
+class ShuffleRunner {
  public:
-  using Callback = std::function<void(const ShuffleResult&)>;
+  using Callback = InlineFunction<void(const ShuffleResult&)>;
 
-  ShuffleOperation(sim::Simulator* simulator, net::RpcSystem* rpc,
-                   ShuffleParams params, Rng rng);
+  ShuffleRunner(sim::Simulator* simulator, net::RpcSystem* rpc);
 
-  ShuffleOperation(const ShuffleOperation&) = delete;
-  ShuffleOperation& operator=(const ShuffleOperation&) = delete;
+  ShuffleRunner(const ShuffleRunner&) = delete;
+  ShuffleRunner& operator=(const ShuffleRunner&) = delete;
 
   /**
-   * Starts the shuffle; `on_done` fires when every reducer has ingested
-   * all of its streams and merged. The object must stay alive until the
-   * callback fires (hold it in a shared_ptr captured by the caller).
+   * Starts a shuffle whose placement and partition draws (and, with
+   * `params.private_rpc_draws`, its RPC draws) come from `rng`; `on_done`
+   * fires when every reducer has ingested all of its streams and merged.
+   * The runner must outlive the shuffle.
    */
-  void Run(const net::NodeId& coordinator, Callback on_done);
+  void Run(const ShuffleParams& params, Rng rng,
+           const net::NodeId& coordinator, Callback on_done);
 
  private:
-  /** Splits one mapper's bytes over reducers with the configured skew. */
-  std::vector<uint64_t> PartitionBytes();
+  struct State {
+    ShuffleParams params;
+    Rng rng{0};
+    SimTime started;
+    uint64_t total_bytes = 0;
+    size_t streams_remaining = 0;
+    std::vector<net::NodeId> mappers;
+    std::vector<net::NodeId> reducers;
+    std::vector<uint64_t> reducer_bytes;
+    std::vector<SimTime> reducer_ready;  // when the last stream lands
+    std::vector<uint64_t> stream_bytes;  // [mapper * reducers + reducer]
+    std::vector<double> weights;         // PartitionBytes scratch
+    Callback on_done;
+  };
+
+  /**
+   * Splits one mapper's bytes over reducers with the configured skew,
+   * into `out` (one entry per reducer).
+   */
+  static void PartitionBytes(State& state, uint64_t* out);
+  void SendStream(uint32_t index, uint32_t stream);
+  void OnStreamLanded(uint32_t index, uint32_t reducer);
+  void Finish(uint32_t index);
 
   sim::Simulator* simulator_;
   net::RpcSystem* rpc_;
-  ShuffleParams params_;
-  Rng rng_;
+  SlotPool<State> states_;
 };
 
 }  // namespace hyperprof::platforms

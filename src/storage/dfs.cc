@@ -58,8 +58,12 @@ void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,
                                  uint64_t bytes, ReadCallback on_done) {
   uint32_t server_index = HomeServer(block_id);
   TieredStore* store = stores_[server_index].get();
-  auto result = std::make_shared<IoResult>();
-  SimTime start = sim_->Now();
+  const uint32_t index = reads_.Acquire();
+  ReadOp& op = reads_[index];
+  op.start = sim_->Now();
+  op.result = IoResult{};
+  op.on_done = std::move(on_done);
+  const uint32_t generation = op.generation;
 
   net::RpcOptions options;
   options.method = "dfs.Read";
@@ -71,41 +75,38 @@ void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,
   // see the real amplification caused by the fault.
   rpc_->CallWithPolicy(
       client, ServerNode(server_index), options, params_.read_policy,
-      [this, store, block_id, bytes, result](std::function<void()> respond) {
+      [this, store, block_id, bytes, index,
+       generation](net::RpcSystem::Respond respond) {
         AccessResult access = store->Read(block_id, bytes, rng_);
-        result->served_by = access.served_by;
-        result->device_time = access.device_time;
+        ReadOp& read = reads_[index];
+        if (read.generation == generation) {
+          read.result.served_by = access.served_by;
+          read.result.device_time = access.device_time;
+        }
         sim_->Schedule(access.device_time + params_.server_cpu_per_request,
-                       std::move(respond));
+                       respond);
       },
-      [this, start, result, on_done = std::move(on_done)](
-          const net::RpcOutcome& outcome) {
-        result->status = outcome.status;
-        result->total_time = sim_->Now() - start;
-        result->network_time = outcome.result.network_time;
-        result->attempts = outcome.attempts;
-        result->hedged = outcome.hedged;
-        result->wasted_time = outcome.wasted_time;
-        if (!outcome.ok()) ++failed_reads_;
-        on_done(*result);
+      [this, index](const net::RpcOutcome& outcome) {
+        FinishRead(index, outcome);
       });
 }
 
-/**
- * Shared progress of one replicated write. Kept alive by the per-replica
- * completions so stragglers can keep counting after the quorum has already
- * completed the caller.
- */
-struct DistributedFileSystem::WriteState {
-  IoResult result;
-  uint32_t replication = 0;
-  uint32_t quorum = 0;
-  uint32_t acks = 0;
-  uint32_t failures = 0;
-  uint32_t extra_attempts = 0;  // retries + hedges summed over replicas
-  bool completed = false;
-  ReadCallback on_done;
-};
+void DistributedFileSystem::FinishRead(uint32_t index,
+                                       const net::RpcOutcome& outcome) {
+  ReadOp& op = reads_[index];
+  IoResult result = std::move(op.result);
+  result.status = outcome.status;
+  result.total_time = sim_->Now() - op.start;
+  result.network_time = outcome.result.network_time;
+  result.attempts = outcome.attempts;
+  result.hedged = outcome.hedged;
+  result.wasted_time = outcome.wasted_time;
+  if (!outcome.ok()) ++failed_reads_;
+  ReadCallback on_done = std::move(op.on_done);
+  ++op.generation;
+  reads_.Release(index);
+  on_done(result);
+}
 
 void DistributedFileSystem::Write(const net::NodeId& client,
                                   uint64_t block_id, uint64_t bytes,
@@ -119,7 +120,6 @@ void DistributedFileSystem::Write(const net::NodeId& client,
                                   uint64_t block_id, uint64_t bytes,
                                   uint32_t replication, uint32_t quorum_acks,
                                   ReadCallback on_done) {
-  SimTime start = sim_->Now();
   if (replication == 0) {
     // Reject rather than assert: the assert compiled out in release builds
     // and a zero-count barrier would have completed the caller before the
@@ -127,7 +127,7 @@ void DistributedFileSystem::Write(const net::NodeId& client,
     // path so callers cannot observe a same-stack callback.
     ++invalid_writes_;
     sim_->Schedule(SimTime::Zero(),
-                   [on_done = std::move(on_done)]() {
+                   [on_done = std::move(on_done)]() mutable {
                      IoResult result;
                      result.status = Status::InvalidArgument(
                          "dfs.Write requires replication >= 1");
@@ -142,11 +142,19 @@ void DistributedFileSystem::Write(const net::NodeId& client,
                         : std::min(quorum_acks, replication);
   uint32_t first = HomeServer(block_id);
 
-  auto state = std::make_shared<WriteState>();
-  state->result.served_by = Tier::kSsd;  // durable log append tier
-  state->replication = replication;
-  state->quorum = quorum;
-  state->on_done = std::move(on_done);
+  const uint32_t index = writes_.Acquire();
+  WriteOp& op = writes_[index];
+  op.start = sim_->Now();
+  op.result = IoResult{};
+  op.result.served_by = Tier::kSsd;  // durable log append tier
+  op.replication = replication;
+  op.quorum = quorum;
+  op.acks = 0;
+  op.failures = 0;
+  op.extra_attempts = 0;
+  op.completed = false;
+  op.on_done = std::move(on_done);
+  const uint32_t generation = op.generation;
 
   for (uint32_t r = 0; r < replication; ++r) {
     uint32_t server_index = (first + r) % params_.num_fileservers;
@@ -157,57 +165,77 @@ void DistributedFileSystem::Write(const net::NodeId& client,
     options.response_bytes = 64;  // ack
     rpc_->CallWithPolicy(
         client, ServerNode(server_index), options, params_.write_policy,
-        [this, store, block_id, bytes,
-         state](std::function<void()> respond) {
+        [this, store, block_id, bytes, index,
+         generation](net::RpcSystem::Respond respond) {
           AccessResult access = store->Write(block_id, bytes, rng_);
           // Record the slowest replica's media time.
-          if (access.device_time > state->result.device_time) {
-            state->result.device_time = access.device_time;
+          WriteOp& write = writes_[index];
+          if (write.generation == generation &&
+              access.device_time > write.result.device_time) {
+            write.result.device_time = access.device_time;
           }
           sim_->Schedule(access.device_time + params_.server_cpu_per_request,
-                         std::move(respond));
+                         respond);
         },
-        [this, start, state](const net::RpcOutcome& outcome) {
-          state->extra_attempts += outcome.attempts - 1;
-          if (outcome.hedged) state->result.hedged = true;
-          state->result.wasted_time += outcome.wasted_time;
-          if (outcome.ok()) {
-            ++state->acks;
-            if (outcome.result.network_time > state->result.network_time) {
-              state->result.network_time = outcome.result.network_time;
-            }
-            if (state->completed) {
-              // Straggler replica finishing after the quorum released the
-              // caller — the background tail of a quorum-append log.
-              ++background_acks_;
-              return;
-            }
-            if (state->acks >= state->quorum) {
-              state->completed = true;
-              state->result.status = Status::Ok();
-              state->result.acks = state->acks;
-              state->result.attempts = 1 + state->extra_attempts;
-              state->result.total_time = sim_->Now() - start;
-              state->on_done(state->result);
-            }
-            return;
-          }
-          ++state->failures;
-          if (state->completed) return;
-          // Quorum unreachable: more replicas are dead than the write can
-          // tolerate. Fail now instead of waiting for the rest.
-          if (state->failures > state->replication - state->quorum) {
-            state->completed = true;
-            ++failed_writes_;
-            state->result.status = Status::Unavailable(
-                "dfs.Write quorum unreachable: " + outcome.status.message());
-            state->result.acks = state->acks;
-            state->result.attempts = 1 + state->extra_attempts;
-            state->result.total_time = sim_->Now() - start;
-            state->on_done(state->result);
-          }
+        [this, index](const net::RpcOutcome& outcome) {
+          OnReplicaDone(index, outcome);
         });
   }
+}
+
+void DistributedFileSystem::OnReplicaDone(uint32_t index,
+                                          const net::RpcOutcome& outcome) {
+  WriteOp& op = writes_[index];
+  op.extra_attempts += outcome.attempts - 1;
+  if (outcome.hedged) op.result.hedged = true;
+  op.result.wasted_time += outcome.wasted_time;
+  bool complete_caller = false;
+  if (outcome.ok()) {
+    ++op.acks;
+    if (outcome.result.network_time > op.result.network_time) {
+      op.result.network_time = outcome.result.network_time;
+    }
+    if (op.completed) {
+      // Straggler replica finishing after the quorum released the
+      // caller — the background tail of a quorum-append log.
+      ++background_acks_;
+    } else if (op.acks >= op.quorum) {
+      op.result.status = Status::Ok();
+      complete_caller = true;
+    }
+  } else {
+    ++op.failures;
+    // Quorum unreachable: more replicas are dead than the write can
+    // tolerate. Fail now instead of waiting for the rest.
+    if (!op.completed && op.failures > op.replication - op.quorum) {
+      ++failed_writes_;
+      op.result.status = Status::Unavailable(
+          "dfs.Write quorum unreachable: " + outcome.status.message());
+      complete_caller = true;
+    }
+  }
+  // Every replica has answered: no callback refers to the record any more
+  // (a late attempt's handler checks the generation), so it is recycled —
+  // before the caller's completion, which may start the next write.
+  const bool all_answered = op.acks + op.failures == op.replication;
+  if (!complete_caller) {
+    if (all_answered) {
+      ++op.generation;
+      writes_.Release(index);
+    }
+    return;
+  }
+  op.completed = true;
+  op.result.acks = op.acks;
+  op.result.attempts = 1 + op.extra_attempts;
+  op.result.total_time = sim_->Now() - op.start;
+  IoResult result = op.result;
+  ReadCallback on_done = std::move(op.on_done);
+  if (all_answered) {
+    ++op.generation;
+    writes_.Release(index);
+  }
+  on_done(result);
 }
 
 double DistributedFileSystem::TierServeFraction(Tier tier) const {

@@ -2,12 +2,13 @@
 #define HYPERPROF_STORAGE_DFS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/slot_pool.h"
 #include "common/status.h"
 #include "net/rpc.h"
 #include "sim/simulator.h"
@@ -61,7 +62,7 @@ struct DfsParams {
  */
 class DistributedFileSystem {
  public:
-  using ReadCallback = std::function<void(const IoResult&)>;
+  using ReadCallback = InlineFunction<void(const IoResult&)>;
 
   DistributedFileSystem(sim::Simulator* sim, net::RpcSystem* rpc,
                         DfsParams params, Rng rng);
@@ -133,15 +134,48 @@ class DistributedFileSystem {
   uint64_t background_acks() const { return background_acks_; }
 
  private:
-  struct WriteState;
+  /**
+   * One read in flight, recycled through `reads_`; its RPC callbacks
+   * capture only (this, index). A retried or hedged attempt's handler can
+   * run after the read completed and its record was recycled, so handlers
+   * carry the record's `generation` and leave a newer occupant alone.
+   */
+  struct ReadOp {
+    SimTime start;
+    IoResult result;
+    ReadCallback on_done;
+    uint32_t generation = 0;
+  };
+
+  /**
+   * Progress of one replicated write, recycled through `writes_` once
+   * every replica has answered — stragglers keep counting after the
+   * quorum has already completed the caller.
+   */
+  struct WriteOp {
+    SimTime start;
+    IoResult result;
+    uint32_t replication = 0;
+    uint32_t quorum = 0;
+    uint32_t acks = 0;
+    uint32_t failures = 0;
+    uint32_t extra_attempts = 0;  // retries + hedges summed over replicas
+    bool completed = false;
+    ReadCallback on_done;
+    uint32_t generation = 0;
+  };
 
   net::NodeId ServerNode(uint32_t index) const;
+  void FinishRead(uint32_t index, const net::RpcOutcome& outcome);
+  void OnReplicaDone(uint32_t index, const net::RpcOutcome& outcome);
 
   sim::Simulator* sim_;
   net::RpcSystem* rpc_;
   DfsParams params_;
   Rng rng_;
   std::vector<std::unique_ptr<TieredStore>> stores_;
+  SlotPool<ReadOp> reads_;
+  SlotPool<WriteOp> writes_;
   uint64_t invalid_writes_ = 0;
   uint64_t failed_reads_ = 0;
   uint64_t failed_writes_ = 0;

@@ -114,12 +114,12 @@ TEST(FaultRpcTest, PlainCallSurvivesDropWithoutHanging) {
   stack.faults.set_default_faults(DropAll());
   int completions = 0;
   Status status;
-  stack.rpc.Call(
-      stack.client, stack.server, RpcOptions{},
-      [](std::function<void()> respond) { respond(); },
-      [&](const RpcResult& result) {
+  stack.rpc.CallWithPolicy(
+      stack.client, stack.server, RpcOptions{}, RpcCallPolicy{},
+      [](RpcSystem::Respond respond) { respond(); },
+      [&](const RpcOutcome& outcome) {
         ++completions;
-        status = result.status;
+        status = outcome.status;
       });
   stack.simulator.Run();
   EXPECT_EQ(completions, 1);
@@ -223,12 +223,12 @@ TEST(FaultRpcTest, HedgedWinnerCancelsLoserWithoutDoubleCompleting) {
   RpcOutcome outcome;
   stack.rpc.CallWithPolicy(
       stack.client, stack.server, RpcOptions{}, policy,
-      [&](std::function<void()> respond) {
+      [&](RpcSystem::Respond respond) {
         ++handler_runs;
         // First (primary) execution is a straggler; the hedge is fast.
         SimTime delay = handler_runs == 1 ? SimTime::Millis(100)
                                           : SimTime::Micros(10);
-        stack.simulator.Schedule(delay, std::move(respond));
+        stack.simulator.Schedule(delay, respond);
       },
       [&](const RpcOutcome& o) {
         ++completions;

@@ -40,13 +40,13 @@ TEST_F(RpcTest, CompletesWithServerAndNetworkTime) {
 TEST_F(RpcTest, HandlerRunsAtServerAfterTransport) {
   RpcOptions options;
   SimTime handler_at;
-  rpc_.Call(
-      client_, server_, options,
-      [&](std::function<void()> respond) {
+  rpc_.CallWithPolicy(
+      client_, server_, options, RpcCallPolicy{},
+      [&](RpcSystem::Respond respond) {
         handler_at = simulator_.Now();
         respond();
       },
-      [](const RpcResult&) {});
+      [](const RpcOutcome&) {});
   simulator_.Run();
   EXPECT_GT(handler_at, SimTime::Zero());
 }
@@ -54,14 +54,14 @@ TEST_F(RpcTest, HandlerRunsAtServerAfterTransport) {
 TEST_F(RpcTest, HandlerCanDoAsynchronousWork) {
   RpcOptions options;
   SimTime completed_at;
-  rpc_.Call(
-      client_, server_, options,
-      [&](std::function<void()> respond) {
-        simulator_.Schedule(SimTime::Millis(2), std::move(respond));
+  rpc_.CallWithPolicy(
+      client_, server_, options, RpcCallPolicy{},
+      [&](RpcSystem::Respond respond) {
+        simulator_.Schedule(SimTime::Millis(2), respond);
       },
-      [&](const RpcResult& result) {
+      [&](const RpcOutcome& outcome) {
         completed_at = simulator_.Now();
-        EXPECT_EQ(result.server_time, SimTime::Millis(2));
+        EXPECT_EQ(outcome.result.server_time, SimTime::Millis(2));
       });
   simulator_.Run();
   EXPECT_GT(completed_at, SimTime::Millis(2));
@@ -83,18 +83,16 @@ TEST_F(RpcTest, NestedRpcFromHandler) {
   RpcOptions options;
   NodeId backend{0, 0, 2};
   bool outer_done = false;
-  rpc_.Call(
-      client_, server_, options,
-      [&](std::function<void()> respond) {
+  rpc_.CallWithPolicy(
+      client_, server_, options, RpcCallPolicy{},
+      [&](RpcSystem::Respond respond) {
         // Server fans out to a backend before responding.
         rpc_.CallFixed(server_, backend, RpcOptions{}, SimTime::Micros(50),
-                       [respond = std::move(respond)](const RpcResult&) {
-                         respond();
-                       });
+                       [respond](const RpcResult&) { respond(); });
       },
-      [&](const RpcResult& result) {
+      [&](const RpcOutcome& outcome) {
         outer_done = true;
-        EXPECT_GT(result.server_time, SimTime::Micros(50));
+        EXPECT_GT(outcome.result.server_time, SimTime::Micros(50));
       });
   simulator_.Run();
   EXPECT_TRUE(outer_done);

@@ -10,14 +10,14 @@ class ShuffleTest : public ::testing::Test {
   ShuffleTest() : rpc_(&simulator_, &network_, Rng(2)) {}
 
   ShuffleResult RunShuffle(ShuffleParams params, uint64_t seed) {
-    auto op = std::make_shared<ShuffleOperation>(&simulator_, &rpc_, params,
-                                                 Rng(seed));
+    ShuffleRunner runner(&simulator_, &rpc_);
     ShuffleResult result;
     bool done = false;
-    op->Run(net::NodeId{0, 0, 1}, [&, op](const ShuffleResult& r) {
-      result = r;
-      done = true;
-    });
+    runner.Run(params, Rng(seed), net::NodeId{0, 0, 1},
+               [&](const ShuffleResult& r) {
+                 result = r;
+                 done = true;
+               });
     simulator_.Run();
     EXPECT_TRUE(done);
     return result;
@@ -85,19 +85,17 @@ TEST_F(ShuffleTest, DeterministicGivenSeeds) {
   {
     sim::Simulator simulator;
     net::RpcSystem rpc(&simulator, &network_, Rng(2));
-    auto op = std::make_shared<ShuffleOperation>(&simulator, &rpc, params,
-                                                 Rng(11));
-    op->Run(net::NodeId{0, 0, 1},
-            [&, op](const ShuffleResult& r) { first = r.makespan; });
+    ShuffleRunner runner(&simulator, &rpc);
+    runner.Run(params, Rng(11), net::NodeId{0, 0, 1},
+               [&](const ShuffleResult& r) { first = r.makespan; });
     simulator.Run();
   }
   {
     sim::Simulator simulator;
     net::RpcSystem rpc(&simulator, &network_, Rng(2));
-    auto op = std::make_shared<ShuffleOperation>(&simulator, &rpc, params,
-                                                 Rng(11));
-    op->Run(net::NodeId{0, 0, 1},
-            [&, op](const ShuffleResult& r) { second = r.makespan; });
+    ShuffleRunner runner(&simulator, &rpc);
+    runner.Run(params, Rng(11), net::NodeId{0, 0, 1},
+               [&](const ShuffleResult& r) { second = r.makespan; });
     simulator.Run();
   }
   EXPECT_EQ(first, second);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "net/fault.h"
 #include "net/network.h"
@@ -443,6 +447,109 @@ TEST_F(DfsTest, HedgedReadCutsInjectedSlowdownTail) {
   ASSERT_TRUE(done);
   EXPECT_EQ(rpc_.hedges_issued(), 1u);
   EXPECT_EQ(rpc_.cancelled_attempts(), 1u);
+}
+
+
+/**
+ * Pins the firing order of same-instant events through the RPC and DFS
+ * continuations. With zero network jitter, deterministic media times and
+ * server times equal to the fileserver's, an 8-way CallFixed fan-out and
+ * the replica RPCs of a quorum write all complete at one instant, so the
+ * recorded order is decided purely by the kernel's insertion tie-break:
+ * any reordering of Schedule calls inside the continuations shows here.
+ * The second round starts from a completion, so it runs on recycled
+ * exchange and write records.
+ */
+TEST(TieOrderTest, SameInstantCompletionsFireInPinnedOrder) {
+  net::NetworkParams net_params;
+  for (net::PathParams* path :
+       {&net_params.same_host, &net_params.same_cluster,
+        &net_params.cross_cluster, &net_params.cross_region}) {
+    path->jitter_sigma = 0;
+  }
+  DfsParams params;
+  params.num_fileservers = 8;
+  params.store.ram.latency_sigma = 0;
+  params.store.ssd.latency_sigma = 0;
+  params.store.hdd.latency_sigma = 0;
+  constexpr uint64_t kBytes = 8192;
+  // The replica server time: the SSD log append plus fileserver CPU,
+  // computed exactly as the store and the filesystem do.
+  const SimTime server_time =
+      SimTime::FromSeconds(params.store.ssd.access_latency.ToSeconds() +
+                           static_cast<double>(kBytes) /
+                               params.store.ssd.bandwidth_bps) +
+      params.server_cpu_per_request;
+
+  sim::Simulator simulator;
+  net::NetworkModel network(net_params);
+  net::RpcSystem rpc(&simulator, &network, Rng(2));
+  DistributedFileSystem dfs(&simulator, &rpc, params, Rng(3));
+  const net::NodeId client{0, 0, 1};
+  std::vector<std::string> log;
+  auto record = [&](const std::string& label) {
+    log.push_back(label + "@" + std::to_string(simulator.Now().nanos()));
+  };
+
+  std::function<void(int)> round = [&](int r) {
+    const std::string tag = "r" + std::to_string(r) + ".";
+    auto fan_out = [&](int first, int last) {
+      for (int i = first; i < last; ++i) {
+        net::RpcOptions options;
+        options.method = "tie.Stream";
+        options.request_bytes = kBytes;
+        options.response_bytes = 64;
+        rpc.CallFixed(client, net::NodeId{0, 100, static_cast<uint32_t>(i)},
+                      options, server_time,
+                      [&, tag, i](const net::RpcResult&) {
+                        record(tag + "rpc" + std::to_string(i));
+                        simulator.Schedule(SimTime::Zero(), [&, tag, i]() {
+                          record(tag + "after" + std::to_string(i));
+                        });
+                      });
+      }
+    };
+    fan_out(0, 4);
+    dfs.Write(client, /*block_id=*/5 + r, kBytes, /*replication=*/3,
+              /*quorum_acks=*/2, [&, tag, r](const IoResult& io) {
+                record(tag + "write.acks" + std::to_string(io.acks));
+                if (r == 0) round(1);
+              });
+    // A handler-driven exchange on the generic path, tied with the rest.
+    rpc.CallWithPolicy(
+        client, net::NodeId{0, 100, 8}, net::RpcOptions{"tie.Serve", kBytes, 64},
+        net::RpcCallPolicy{},
+        [&, tag](auto respond) {
+          record(tag + "serve");
+          simulator.Schedule(server_time, std::move(respond));
+        },
+        [&, tag](const net::RpcOutcome&) { record(tag + "handler"); });
+    fan_out(4, 8);
+  };
+  round(0);
+  simulator.Run();
+
+  // Each round: the handler runs when its request lands; then the eight
+  // fan-out completions, the quorum write (released by its second ack,
+  // between the calls issued before and after it) and the handler call
+  // complete at one instant in issue order, and the zero-delay follow-ups
+  // fire after every completion already queued for that instant.
+  std::vector<std::string> expected;
+  for (const auto& [r, serve_at, done_at] :
+       {std::tuple{0, 133653, 352856}, std::tuple{1, 486509, 705712}}) {
+    const std::string tag = "r" + std::to_string(r) + ".";
+    const std::string at = "@" + std::to_string(done_at);
+    expected.push_back(tag + "serve@" + std::to_string(serve_at));
+    for (const char* label :
+         {"rpc0", "rpc1", "rpc2", "rpc3", "write.acks2", "handler", "rpc4",
+          "rpc5", "rpc6", "rpc7", "after0", "after1", "after2", "after3",
+          "after4", "after5", "after6", "after7"}) {
+      expected.push_back(tag + label + at);
+    }
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(dfs.background_acks(), 2u);
+  EXPECT_EQ(rpc.completed_calls(), 24u);
 }
 
 }  // namespace
