@@ -29,7 +29,6 @@ Rng& RpcSystem::ResilienceRng() {
 
 void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
                               const RpcOptions& options, Handler& handler,
-                              Completion& on_result,
                               PolicyCompletion& on_outcome,
                               bool silent_drop) {
   const SimTime issued_at = sim_->Now();
@@ -60,7 +59,6 @@ void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
   exchange.result = RpcResult{};
   exchange.result.issued_at = issued_at;
   exchange.result.network_time = request_time + response_time;
-  exchange.on_result = std::move(on_result);
   exchange.on_outcome = std::move(on_outcome);
   switch (fault.kind) {
     case FaultDecision::Kind::kDrop:
@@ -118,20 +116,14 @@ void RpcSystem::FinishExchange(uint32_t index) {
   // Take everything the completion needs out of the record and recycle it
   // first: the completion may start the next exchange on the same record.
   Exchange& exchange = exchanges_[index];
-  RpcResult result = std::move(exchange.result);
-  Completion on_result = std::move(exchange.on_result);
+  RpcOutcome outcome;
+  outcome.result = std::move(exchange.result);
   PolicyCompletion on_outcome = std::move(exchange.on_outcome);
   exchanges_.Release(index);
-  if (on_outcome) {
-    RpcOutcome outcome;
-    outcome.status = result.status;
-    outcome.result = std::move(result);
-    outcome.attempts = 1;
-    outcome.failures = outcome.result.ok() ? 0 : 1;
-    on_outcome(outcome);
-  } else if (on_result) {
-    on_result(result);
-  }
+  outcome.status = outcome.result.status;
+  outcome.attempts = 1;
+  outcome.failures = outcome.result.ok() ? 0 : 1;
+  if (on_outcome) on_outcome(outcome);
 }
 
 RpcSystem::Handler RpcSystem::FixedServer(SimTime server_time) {
@@ -145,11 +137,9 @@ RpcSystem::Handler RpcSystem::FixedServer(SimTime server_time) {
 
 void RpcSystem::CallFixed(const NodeId& from, const NodeId& to,
                           const RpcOptions& options, SimTime server_time,
-                          Completion on_complete) {
-  Handler handler = FixedServer(server_time);
-  PolicyCompletion no_outcome;
-  StartExchange(from, to, options, handler, on_complete, no_outcome,
-                /*silent_drop=*/false);
+                          PolicyCompletion on_complete) {
+  CallWithPolicy(from, to, options, RpcCallPolicy{}, FixedServer(server_time),
+                 std::move(on_complete));
 }
 
 /**
@@ -180,24 +170,14 @@ struct RpcSystem::PolicyCall {
   uint32_t outstanding = 0;
 };
 
-void RpcSystem::CallFixedWithPolicy(const NodeId& from, const NodeId& to,
-                                    const RpcOptions& options,
-                                    const RpcCallPolicy& policy,
-                                    SimTime server_time,
-                                    PolicyCompletion on_complete) {
-  CallWithPolicy(from, to, options, policy, FixedServer(server_time),
-                 std::move(on_complete));
-}
-
 void RpcSystem::CallWithPolicy(const NodeId& from, const NodeId& to,
                                const RpcOptions& options,
                                const RpcCallPolicy& policy, Handler handler,
                                PolicyCompletion on_complete) {
   if (policy.Plain()) {
-    // Single attempt, no timers, no extra draws: the exchange CallFixed
-    // runs, completing straight into `on_complete`.
-    Completion no_result;
-    StartExchange(from, to, options, handler, no_result, on_complete,
+    // Single attempt, no timers, no extra draws: one wire exchange
+    // completing straight into `on_complete`.
+    StartExchange(from, to, options, handler, on_complete,
                   /*silent_drop=*/false);
     return;
   }
@@ -247,12 +227,12 @@ void RpcSystem::IssueAttempt(std::shared_ptr<PolicyCall> call,
   }
   call->attempts.push_back(attempt);
   Handler handler = [call](Respond respond) { call->handler(respond); };
-  Completion on_result = [this, call, index](const RpcResult& result) {
-    OnAttemptResult(call, index, result);
+  PolicyCompletion on_outcome = [this, call,
+                                 index](const RpcOutcome& outcome) {
+    OnAttemptResult(call, index, outcome.result);
   };
-  PolicyCompletion no_outcome;
-  StartExchange(call->from, call->to, call->options, handler, on_result,
-                no_outcome, silent_drop);
+  StartExchange(call->from, call->to, call->options, handler, on_outcome,
+                silent_drop);
 }
 
 void RpcSystem::OnAttemptResult(std::shared_ptr<PolicyCall> call,

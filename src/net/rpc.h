@@ -37,7 +37,7 @@ struct RpcOptions {
   Rng* rng = nullptr;
 };
 
-/** Completion record handed to the caller's callback. */
+/** Record of one wire exchange; an RpcOutcome carries the winning one. */
 struct RpcResult {
   Status status;         // kOk on success; injected/transport failures here
   SimTime issued_at;
@@ -133,7 +133,6 @@ class RpcSystem {
 
   /** Handler runs at the server; it must invoke `respond` exactly once. */
   using Handler = InlineFunction<void(Respond respond)>;
-  using Completion = InlineFunction<void(const RpcResult&)>;
   using PolicyCompletion = InlineFunction<void(const RpcOutcome&)>;
 
   RpcSystem(sim::Simulator* sim, const NetworkModel* network, Rng rng);
@@ -152,11 +151,12 @@ class RpcSystem {
   /**
    * Issues an RPC from `from` to `to` to a fixed-cost server: the handler
    * is a pure delay of `server_time`. Once the response is transported
-   * back, `on_complete` fires at the caller.
+   * back, `on_complete` fires at the caller. CallWithPolicy with the plain
+   * policy and a FixedServer handler.
    */
   void CallFixed(const NodeId& from, const NodeId& to,
                  const RpcOptions& options, SimTime server_time,
-                 Completion on_complete);
+                 PolicyCompletion on_complete);
 
   /**
    * Issues a logical call governed by `policy`. The handler executes at the
@@ -175,11 +175,8 @@ class RpcSystem {
                       const RpcOptions& options, const RpcCallPolicy& policy,
                       Handler handler, PolicyCompletion on_complete);
 
-  /** CallWithPolicy with a fixed-delay server. */
-  void CallFixedWithPolicy(const NodeId& from, const NodeId& to,
-                           const RpcOptions& options,
-                           const RpcCallPolicy& policy, SimTime server_time,
-                           PolicyCompletion on_complete);
+  /** The handler of a fixed-cost server: responds after `server_time`. */
+  Handler FixedServer(SimTime server_time);
 
   /** Count of successful wire attempts completed so far. */
   uint64_t completed_calls() const { return completed_calls_; }
@@ -215,29 +212,28 @@ class RpcSystem {
   /**
    * State of one wire exchange, recycled through `exchanges_` (see
    * DESIGN.md, continuation ownership). Every event of the exchange
-   * captures only (this, index). Exactly one of `on_result` (CallFixed,
-   * policy attempts) and `on_outcome` (plain policy calls) is set.
+   * captures only (this, index). Its completion receives a one-attempt
+   * outcome: the caller's own for a plain call, a forward to the policy
+   * call's bookkeeping for a policy attempt.
    */
   struct Exchange {
     RpcResult result;
     SimTime response_time;
     SimTime handler_start;
     Handler handler;
-    Completion on_result;
     PolicyCompletion on_outcome;
   };
 
   /**
-   * Starts one wire exchange, taking the callbacks out of `handler`,
-   * `on_result` and `on_outcome`. `silent_drop` is set by policy attempts
+   * Starts one wire exchange, taking the callbacks out of `handler` and
+   * `on_outcome`. `silent_drop` is set by policy attempts
    * that own a timeout: an injected drop then delivers nothing (the
    * timeout is the rescue). Otherwise a drop completes with an error after
    * the full round-trip time so no caller can hang.
    */
   void StartExchange(const NodeId& from, const NodeId& to,
                      const RpcOptions& options, Handler& handler,
-                     Completion& on_result, PolicyCompletion& on_outcome,
-                     bool silent_drop);
+                     PolicyCompletion& on_outcome, bool silent_drop);
 
   /** Request delivered: runs the handler. */
   void OnRequest(uint32_t index);
@@ -249,8 +245,6 @@ class RpcSystem {
    */
   void FinishExchange(uint32_t index);
 
-  /** The handler of a fixed-cost server: responds after `server_time`. */
-  Handler FixedServer(SimTime server_time);
   void IssueAttempt(std::shared_ptr<PolicyCall> call, bool is_hedge);
   void OnAttemptResult(std::shared_ptr<PolicyCall> call, size_t index,
                        const RpcResult& result);

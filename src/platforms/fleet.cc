@@ -37,7 +37,13 @@ profiling::ContinuousOptions ContinuousOptionsFrom(const FleetConfig& config,
 
 }  // namespace
 
-/** One worker shard's private substrate (sharded platforms only). */
+/**
+ * One worker of a platform: its engine and the profiling state the engine
+ * reports into. A fused platform has one worker, which runs on the storage
+ * kernel and uses the storage plane's RPC fabric, so its simulator, rpc
+ * and faults stay null. A sharded platform has one worker per worker
+ * kernel, each with its own kernel, RPC fabric and fault model.
+ */
 struct FleetSimulation::PlatformSlot::WorkerShard {
   std::unique_ptr<sim::Simulator> simulator;
   std::unique_ptr<net::RpcSystem> rpc;
@@ -195,140 +201,120 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) {
   });
 }
 
-void FleetSimulation::AddPlatform(PlatformSpec spec) {
-  assert(!started_);
-  if (config_.shards_per_platform > 0) {
-    AddShardedPlatform(std::move(spec));
-    return;
-  }
-  auto slot = std::make_unique<PlatformSlot>();
-  // Every stochastic component of the shard forks from one per-platform
-  // stream, so a shard's behaviour depends only on (seed, index) — never
-  // on which host thread runs it or what the other platforms do.
-  Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
-  slot->spec = spec;
-  BuildStoragePlane(*slot, shard_rng);
-  profiling::TracerOptions tracer_options;
-  tracer_options.retention = config_.trace_retention;
-  tracer_options.reservoir_capacity = config_.trace_reservoir_capacity;
-  slot->tracer = std::make_unique<profiling::Tracer>(
-      config_.trace_sample_one_in, shard_rng.Fork(), tracer_options);
-  slot->profiler = std::make_unique<profiling::CpuProfiler>(
-      config_.profiler_period, config_.cpu_hz, shard_rng.Fork());
-  if (config_.continuous_window > SimTime::Zero()) {
-    slot->continuous = std::make_unique<profiling::ContinuousProfiler>(
-        ContinuousOptionsFrom(config_, /*defer=*/false));
-  }
-  EngineContext context;
-  context.simulator = slot->simulator.get();
-  context.dfs = slot->dfs.get();
-  context.rpc = slot->rpc.get();
-  context.tracer = slot->tracer.get();
-  context.profiler = slot->profiler.get();
-  context.continuous = slot->continuous.get();
-  context.block_sampler = slot->block_sampler.get();
-  context.registry = &registry_;
-  context.worker_hosts = config_.worker_hosts;
-  slot->engine = std::make_unique<PlatformEngine>(context, std::move(spec),
-                                                  shard_rng.Fork());
-  // The fault model's private stream forks LAST: every pre-existing
-  // subsystem sees exactly the stream it saw before fault injection
-  // existed, which is what keeps the fault-free goldens bit-identical
-  // (pinned by golden_breakdown_test). Do not reorder.
-  slot->faults = std::make_unique<net::FaultModel>(shard_rng.Fork());
-  slot->faults->set_default_faults(config_.fault);
-  for (const auto& window : config_.outages) slot->faults->AddOutage(window);
-  slot->rpc->set_fault_model(slot->faults.get());
-  slots_.push_back(std::move(slot));
+std::unique_ptr<net::FaultModel> FleetSimulation::MakeFaultModel(
+    Rng rng) const {
+  auto faults = std::make_unique<net::FaultModel>(std::move(rng));
+  faults->set_default_faults(config_.fault);
+  for (const auto& window : config_.outages) faults->AddOutage(window);
+  return faults;
 }
 
-void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
+void FleetSimulation::BuildWorker(const PlatformSlot& slot,
+                                  PlatformSlot::WorkerShard& worker,
+                                  EngineContext context, Rng tracer_rng,
+                                  Rng profiler_rng, Rng engine_rng) {
+  const bool sharded = slot.group != nullptr;
+  // Sharded workers retain every trace regardless of the configured
+  // retention: the post-run merge replays them through a tracer built with
+  // the configured retention, which is where reservoir bounds apply.
+  profiling::TracerOptions tracer_options;
+  tracer_options.retention = sharded ? profiling::TraceRetention::kRetainAll
+                                     : config_.trace_retention;
+  tracer_options.reservoir_capacity = config_.trace_reservoir_capacity;
+  worker.tracer = std::make_unique<profiling::Tracer>(
+      config_.trace_sample_one_in, std::move(tracer_rng), tracer_options);
+  worker.profiler = std::make_unique<profiling::CpuProfiler>(
+      config_.profiler_period, config_.cpu_hz, std::move(profiler_rng));
+  if (config_.continuous_window > SimTime::Zero()) {
+    worker.continuous = std::make_unique<profiling::ContinuousProfiler>(
+        ContinuousOptionsFrom(config_, /*defer=*/sharded));
+  }
+  context.dfs = slot.dfs.get();  // unused when sharded; kept non-null
+  context.tracer = worker.tracer.get();
+  context.profiler = worker.profiler.get();
+  context.continuous = worker.continuous.get();
+  context.block_sampler = slot.block_sampler.get();
+  context.registry = &registry_;
+  context.worker_hosts = config_.worker_hosts;
+  PlatformSpec spec = slot.spec;
+  // Worker-pool contention is a fused-mode feature: a finite core pool is
+  // cross-query mutable state, which sharded determinism forbids.
+  if (sharded) spec.worker_cores = 0;
+  worker.engine = std::make_unique<PlatformEngine>(context, std::move(spec),
+                                                   std::move(engine_rng));
+}
+
+void FleetSimulation::AddPlatform(PlatformSpec spec) {
+  assert(!started_);
   const uint32_t num_shards = config_.shards_per_platform;
   auto slot = std::make_unique<PlatformSlot>();
-  slot->sharded = true;
-  slot->spec = spec;
-  // Mirror the fused fork order (rpc, dfs, tracer, profiler, engine,
-  // faults LAST) so the storage plane draws the same streams in both
-  // modes. The tracer/profiler/rpc/fault streams of the workers are
-  // never consumed — every sharded-mode draw comes from a per-query
-  // stream — so their seeds only need to be deterministic.
+  slot->spec = std::move(spec);
+  // Every stochastic component of the platform forks from one
+  // per-platform stream, so its behaviour depends only on (seed, index) —
+  // never on which host thread runs it or what the other platforms do.
+  // Fork order: storage plane (rpc, dfs), tracer, profiler, engine, and
+  // the storage plane's faults LAST, in both modes.
   Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
-  // The fused slot members double as the storage plane: `simulator` is
-  // the storage kernel, and rpc/dfs run on it exactly as in fused mode.
   BuildStoragePlane(*slot, shard_rng);
   Rng tracer_rng = shard_rng.Fork();
   Rng profiler_rng = shard_rng.Fork();
   Rng engine_rng = shard_rng.Fork();
-  // One base for the per-query derived streams, shared by every worker:
-  // a query's stream depends on its global index alone, which is the
-  // whole reason any shard count recovers bit-identical results.
-  const uint64_t stream_seed = engine_rng.Next();
-
-  // Worker kernels first (kernel index == shard index), storage last.
-  std::vector<sim::Simulator*> kernels;
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    auto worker = std::make_unique<PlatformSlot::WorkerShard>();
-    worker->simulator = std::make_unique<sim::Simulator>();
-    worker->simulator->Reserve(4096);
-    kernels.push_back(worker->simulator.get());
-    slot->workers.push_back(std::move(worker));
-  }
-  kernels.push_back(slot->simulator.get());
-  slot->group =
-      std::make_unique<sim::ShardGroup>(kernels, config_.shard_window);
-  slot->fabric = std::make_unique<ShardIoFabric>(slot->group.get(), kernels,
-                                                 slot->dfs.get());
-
-  // Workers retain every trace regardless of the configured retention:
-  // the post-run merge replays them through a tracer built with the
-  // configured retention, which is where reservoir bounds apply.
-  profiling::TracerOptions worker_tracer_options;
-  worker_tracer_options.retention = profiling::TraceRetention::kRetainAll;
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    PlatformSlot::WorkerShard& worker = *slot->workers[k];
-    worker.rpc = std::make_unique<net::RpcSystem>(
-        worker.simulator.get(), slot->network.get(), engine_rng.Fork());
-    worker.faults = std::make_unique<net::FaultModel>(engine_rng.Fork());
-    worker.faults->set_default_faults(config_.fault);
-    for (const auto& window : config_.outages) {
-      worker.faults->AddOutage(window);
-    }
-    worker.rpc->set_fault_model(worker.faults.get());
-    worker.tracer = std::make_unique<profiling::Tracer>(
-        config_.trace_sample_one_in, tracer_rng.Fork(),
-        worker_tracer_options);
-    worker.profiler = std::make_unique<profiling::CpuProfiler>(
-        config_.profiler_period, config_.cpu_hz, profiler_rng.Fork());
-    if (config_.continuous_window > SimTime::Zero()) {
-      worker.continuous = std::make_unique<profiling::ContinuousProfiler>(
-          ContinuousOptionsFrom(config_, /*defer=*/true));
-    }
+  if (num_shards == 0) {
+    // Fused: one worker on the storage kernel, drawing from the three
+    // streams directly.
     EngineContext context;
-    context.simulator = worker.simulator.get();
-    context.dfs = slot->dfs.get();  // unused when sharded; kept non-null
-    context.rpc = worker.rpc.get();
-    context.tracer = worker.tracer.get();
-    context.profiler = worker.profiler.get();
-    context.continuous = worker.continuous.get();
-    context.block_sampler = slot->block_sampler.get();
-    context.registry = &registry_;
-    context.shard_io = slot->fabric.get();
-    context.shard_index = k;
-    context.shard_count = num_shards;
-    context.stream_seed = stream_seed;
-    context.sample_one_in = config_.trace_sample_one_in;
-    context.worker_hosts = config_.worker_hosts;
-    PlatformSpec worker_spec = spec;
-    // Worker-pool contention is a fused-mode feature: a finite core pool
-    // is cross-query mutable state, which sharded determinism forbids.
-    worker_spec.worker_cores = 0;
-    worker.engine = std::make_unique<PlatformEngine>(
-        context, std::move(worker_spec), engine_rng.Fork());
+    context.simulator = slot->simulator.get();
+    context.rpc = slot->rpc.get();
+    slot->workers.push_back(std::make_unique<PlatformSlot::WorkerShard>());
+    BuildWorker(*slot, *slot->workers[0], context, std::move(tracer_rng),
+                std::move(profiler_rng), std::move(engine_rng));
+  } else {
+    // Sharded: every worker forks its own streams from the three. The
+    // workers' tracer/profiler/rpc/fault streams are never consumed —
+    // every sharded-mode draw comes from a per-query stream — so their
+    // seeds only need to be deterministic. One base for the per-query
+    // streams is shared by every worker: a query's stream depends on its
+    // global index alone, which is the whole reason any shard count
+    // recovers bit-identical results.
+    const uint64_t stream_seed = engine_rng.Next();
+    // Worker kernels first (kernel index == shard index), storage last.
+    std::vector<sim::Simulator*> kernels;
+    for (uint32_t k = 0; k < num_shards; ++k) {
+      auto worker = std::make_unique<PlatformSlot::WorkerShard>();
+      worker->simulator = std::make_unique<sim::Simulator>();
+      worker->simulator->Reserve(4096);
+      kernels.push_back(worker->simulator.get());
+      slot->workers.push_back(std::move(worker));
+    }
+    kernels.push_back(slot->simulator.get());
+    slot->group =
+        std::make_unique<sim::ShardGroup>(kernels, config_.shard_window);
+    slot->fabric = std::make_unique<ShardIoFabric>(slot->group.get(),
+                                                   kernels, slot->dfs.get());
+    for (uint32_t k = 0; k < num_shards; ++k) {
+      PlatformSlot::WorkerShard& worker = *slot->workers[k];
+      worker.rpc = std::make_unique<net::RpcSystem>(
+          worker.simulator.get(), slot->network.get(), engine_rng.Fork());
+      worker.faults = MakeFaultModel(engine_rng.Fork());
+      worker.rpc->set_fault_model(worker.faults.get());
+      EngineContext context;
+      context.simulator = worker.simulator.get();
+      context.rpc = worker.rpc.get();
+      context.shard_io = slot->fabric.get();
+      context.shard_index = k;
+      context.shard_count = num_shards;
+      context.stream_seed = stream_seed;
+      context.sample_one_in = config_.trace_sample_one_in;
+      // Three distinct streams: the forks commute.
+      BuildWorker(*slot, worker, context, tracer_rng.Fork(),
+                  profiler_rng.Fork(), engine_rng.Fork());
+    }
   }
-  // Storage-plane fault stream forks LAST, as in fused mode.
-  slot->faults = std::make_unique<net::FaultModel>(shard_rng.Fork());
-  slot->faults->set_default_faults(config_.fault);
-  for (const auto& window : config_.outages) slot->faults->AddOutage(window);
+  // The storage plane's fault stream forks LAST: every pre-existing
+  // subsystem sees exactly the stream it saw before fault injection
+  // existed, which is what keeps the fault-free goldens bit-identical
+  // (pinned by golden_breakdown_test). Do not reorder.
+  slot->faults = MakeFaultModel(shard_rng.Fork());
   slot->rpc->set_fault_model(slot->faults.get());
   slots_.push_back(std::move(slot));
 }
@@ -427,10 +413,6 @@ void FleetSimulation::Start() {
   host_threads_ = ThreadPool::ResolveParallelism(config_.parallelism);
   if (config_.queries_per_platform == 0) return;  // serving: Submit-driven
   for (auto& slot : slots_) {
-    if (!slot->sharded) {
-      slot->engine->Run(config_.queries_per_platform,
-                        config_.arrival_rate_qps, []() {});
-    }
     for (auto& worker : slot->workers) {
       worker->engine->Run(config_.queries_per_platform,
                           config_.arrival_rate_qps, []() {});
@@ -443,7 +425,7 @@ bool FleetSimulation::AdvanceSlot(size_t index, SimTime until,
   PlatformSlot& slot = *slots_[index];
   const bool probing =
       config_.probe_period > SimTime::Zero() && config_.probe != nullptr;
-  if (slot.sharded) {
+  if (slot.group) {
     sim::ShardGroup::RunOptions options;
     options.parallel = parallel;
     if (probing) {
@@ -484,7 +466,9 @@ bool FleetSimulation::AdvanceSlot(size_t index, SimTime until,
     // already arrived (virtual time is monotone and RunUntil is
     // deadline-inclusive), so early sealing evaluates the same windows
     // with the same totals as a post-run Finalize — digests don't move.
-    if (slot.continuous) slot.continuous->AdvanceTo(until);
+    profiling::ContinuousProfiler* continuous =
+        slot.workers[0]->continuous.get();
+    if (continuous) continuous->AdvanceTo(until);
   }
   return kernel.pending_events() > 0;
 }
@@ -509,12 +493,12 @@ void FleetSimulation::Finish() {
   auto finish = [this](size_t index) {
     AdvanceSlot(index, SimTime::Max(), host_threads_ > 1);
     PlatformSlot& slot = *slots_[index];
-    if (slot.sharded) {
+    if (slot.group) {
       FinalizePlatform(slot);
-    } else if (slot.continuous) {
+    } else if (slot.workers[0]->continuous) {
       // Seal and evaluate the trailing window(s) now that virtual time
       // has stopped advancing.
-      slot.continuous->Finalize();
+      slot.workers[0]->continuous->Finalize();
     }
   };
   const size_t threads = std::min(host_threads_, slots_.size());
@@ -534,31 +518,23 @@ void FleetSimulation::RunAll() {
 PlatformResult FleetSimulation::Result(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
+  assert((!slot.group || slot.merged_tracer) &&
+         "Result() before RunAll on sharded fleet");
   PlatformResult result;
   result.name = slot.spec.name;
-  if (slot.sharded) {
-    assert(slot.merged_tracer && "Result() before RunAll on sharded fleet");
-    for (const auto& worker : slot.workers) {
-      result.queries_completed += worker->engine->queries_completed();
-    }
-    result.queries_sampled = slot.merged_tracer->queries_sampled();
-    result.e2e = slot.merged_tracer->breakdown().e2e();
-    result.cycles =
-        profiling::ComputeCycleBreakdown(*slot.merged_profiler, registry_);
-    result.microarch =
-        profiling::ComputeMicroarchReport(*slot.merged_profiler, registry_);
-    return result;
+  for (const auto& worker : slot.workers) {
+    result.queries_completed += worker->engine->queries_completed();
   }
-  result.queries_completed = slot.engine->queries_completed();
-  result.queries_sampled = slot.tracer->queries_sampled();
-  // The streaming accumulator folded every finished trace at FinishQuery
-  // with the same operation order as the batch path, so this is
-  // bit-identical to re-attributing the retained traces — and O(1).
-  result.e2e = slot.tracer->breakdown().e2e();
-  result.cycles =
-      profiling::ComputeCycleBreakdown(*slot.profiler, registry_);
-  result.microarch =
-      profiling::ComputeMicroarchReport(*slot.profiler, registry_);
+  // A fused tracer folded every finished trace at FinishQuery with the
+  // same operation order as the batch path, and the sharded merge replayed
+  // every trace through that pipeline, so this is bit-identical to
+  // re-attributing the retained traces — and O(1).
+  const profiling::Tracer& tracer = TracerOf(index);
+  const profiling::CpuProfiler& profiler = ProfilerOf(index);
+  result.queries_sampled = tracer.queries_sampled();
+  result.e2e = tracer.breakdown().e2e();
+  result.cycles = profiling::ComputeCycleBreakdown(profiler, registry_);
+  result.microarch = profiling::ComputeMicroarchReport(profiler, registry_);
   return result;
 }
 
@@ -582,32 +558,26 @@ const profiling::NameInterner& FleetSimulation::NamesOf(size_t index) const {
 const profiling::Tracer& FleetSimulation::TracerOf(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) {
-    // Post-run: the canonical merged view. Mid-run (probes): worker 0's
-    // live tracer — a representative, self-consistent partial view.
-    return slot.merged_tracer ? *slot.merged_tracer
-                              : *slot.workers[0]->tracer;
-  }
-  return *slot.tracer;
+  // Sharded post-run: the canonical merged view. Otherwise worker 0's live
+  // tracer: the whole platform when fused, a representative,
+  // self-consistent partial view mid-run (probes) when sharded.
+  return slot.merged_tracer ? *slot.merged_tracer : *slot.workers[0]->tracer;
 }
 
 const profiling::CpuProfiler& FleetSimulation::ProfilerOf(
     size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) {
-    return slot.merged_profiler ? *slot.merged_profiler
-                                : *slot.workers[0]->profiler;
-  }
-  return *slot.profiler;
+  return slot.merged_profiler ? *slot.merged_profiler
+                              : *slot.workers[0]->profiler;
 }
 
 const profiling::ContinuousProfiler* FleetSimulation::ContinuousOf(
     size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) return slot.merged_continuous.get();
-  return slot.continuous.get();
+  return slot.group ? slot.merged_continuous.get()
+                    : slot.workers[0]->continuous.get();
 }
 
 const storage::DistributedFileSystem& FleetSimulation::DfsOf(
@@ -628,15 +598,14 @@ const net::RpcSystem& FleetSimulation::RpcOf(size_t index) const {
 
 const PlatformEngine& FleetSimulation::EngineOf(size_t index) const {
   assert(index < slots_.size());
-  const PlatformSlot& slot = *slots_[index];
-  return slot.sharded ? *slot.workers[0]->engine : *slot.engine;
+  return *slots_[index]->workers[0]->engine;
 }
 
 PlatformEngine& FleetSimulation::MutableEngineOf(size_t index) {
   assert(index < slots_.size());
   PlatformSlot& slot = *slots_[index];
-  assert(!slot.sharded && "serving admission requires a fused platform");
-  return *slot.engine;
+  assert(!slot.group && "serving admission requires a fused platform");
+  return *slot.workers[0]->engine;
 }
 
 sim::Simulator& FleetSimulation::SimulatorOf(size_t index) {
@@ -670,17 +639,14 @@ PlatformTotals FleetSimulation::TotalsOf(size_t index) const {
     t.injected_slowdowns += faults.injected_slowdowns();
     t.outage_hits += faults.outage_hits();
   };
-  if (slot.sharded) {
-    for (const auto& worker : slot.workers) {
-      t.queries_completed += worker->engine->queries_completed();
-      t.io_failures += worker->engine->io_failures();
+  for (const auto& worker : slot.workers) {
+    t.queries_completed += worker->engine->queries_completed();
+    t.io_failures += worker->engine->io_failures();
+    if (worker->simulator) {  // a sharded worker's own substrate
       add_kernel(*worker->simulator);
       add_rpc(*worker->rpc);
       add_faults(*worker->faults);
     }
-  } else {
-    t.queries_completed = slot.engine->queries_completed();
-    t.io_failures = slot.engine->io_failures();
   }
   add_kernel(*slot.simulator);
   add_rpc(*slot.rpc);
@@ -692,7 +658,7 @@ ShardStats FleetSimulation::ShardStatsOf(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
   ShardStats stats;
-  if (!slot.sharded) return stats;
+  if (!slot.group) return stats;
   stats.shard_count = static_cast<uint32_t>(slot.workers.size());
   stats.messages_posted = slot.group->messages_posted();
   stats.messages_delivered = slot.group->messages_delivered();
@@ -708,30 +674,24 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
   FleetMemoryStats stats;
   for (const auto& slot : slots_) {
     stats.kernel_bytes += slot->simulator->memory_bytes();
-    if (slot->sharded) {
-      for (const auto& worker : slot->workers) {
+    for (const auto& worker : slot->workers) {
+      if (worker->simulator) {
         stats.kernel_bytes += worker->simulator->memory_bytes();
-        stats.tracer_bytes += worker->tracer->memory_bytes();
-        stats.profiler_bytes += worker->profiler->memory_bytes();
-        if (worker->continuous) {
-          stats.profiler_bytes += worker->continuous->memory_bytes();
-        }
       }
-      if (slot->merged_tracer) {
-        stats.tracer_bytes += slot->merged_tracer->memory_bytes();
+      stats.tracer_bytes += worker->tracer->memory_bytes();
+      stats.profiler_bytes += worker->profiler->memory_bytes();
+      if (worker->continuous) {
+        stats.profiler_bytes += worker->continuous->memory_bytes();
       }
-      if (slot->merged_profiler) {
-        stats.profiler_bytes += slot->merged_profiler->memory_bytes();
-      }
-      if (slot->merged_continuous) {
-        stats.profiler_bytes += slot->merged_continuous->memory_bytes();
-      }
-    } else {
-      stats.tracer_bytes += slot->tracer->memory_bytes();
-      stats.profiler_bytes += slot->profiler->memory_bytes();
-      if (slot->continuous) {
-        stats.profiler_bytes += slot->continuous->memory_bytes();
-      }
+    }
+    if (slot->merged_tracer) {
+      stats.tracer_bytes += slot->merged_tracer->memory_bytes();
+    }
+    if (slot->merged_profiler) {
+      stats.profiler_bytes += slot->merged_profiler->memory_bytes();
+    }
+    if (slot->merged_continuous) {
+      stats.profiler_bytes += slot->merged_continuous->memory_bytes();
     }
     stats.storage_bytes += slot->dfs->memory_bytes();
     stats.sampler_bytes += slot->block_sampler->memory_bytes();
@@ -753,7 +713,7 @@ uint64_t FleetSimulation::total_events_executed() const {
   for (const auto& slot : slots_) {
     total += slot->simulator->events_executed();
     for (const auto& worker : slot->workers) {
-      total += worker->simulator->events_executed();
+      if (worker->simulator) total += worker->simulator->events_executed();
     }
   }
   return total;

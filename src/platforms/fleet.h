@@ -336,34 +336,32 @@ class FleetSimulation {
 
  private:
   /**
-   * One platform's private substrate. Shards never reference each other;
-   * the only cross-shard state is the (immutable after construction)
-   * function registry and config.
+   * One platform's private substrate. Platforms never reference each
+   * other; the only cross-platform state is the (immutable after
+   * construction) function registry and config.
+   *
+   * One layout serves both modes. The storage plane (kernel, network, RPC
+   * fabric, faults, DFS, block sampler) always exists; the engines live in
+   * `workers`. A fused platform is the one-worker case: its worker runs on
+   * the storage plane's kernel and RPC fabric. A sharded platform
+   * (shards_per_platform > 0, so `group` is set) has one worker per
+   * worker kernel, and the post-run merge materializes the platform-level
+   * views in the `merged_*` members.
    */
   struct PlatformSlot {
     PlatformSpec spec;
+    // --- Storage plane (the whole kernel of a fused platform) -----------
     std::unique_ptr<sim::Simulator> simulator;
     std::unique_ptr<net::NetworkModel> network;
     std::unique_ptr<net::RpcSystem> rpc;
     std::unique_ptr<net::FaultModel> faults;
     std::unique_ptr<storage::DistributedFileSystem> dfs;
-    std::unique_ptr<profiling::Tracer> tracer;
-    std::unique_ptr<profiling::CpuProfiler> profiler;
-    std::unique_ptr<profiling::ContinuousProfiler> continuous;
-    // Block popularity sampler, shared read-only by the platform's
-    // engine(s).
+    // Block popularity sampler, shared read-only by every worker's engine.
     std::unique_ptr<const ZipfSampler> block_sampler;
-    std::unique_ptr<PlatformEngine> engine;
-
-    // --- Sharded mode (shards_per_platform > 0) --------------------------
-    // The members above are repurposed: `simulator` hosts the storage
-    // kernel, and rpc/faults/dfs live on it unchanged, so the storage
-    // accessors work identically in both modes. tracer/profiler/engine
-    // stay null — per-worker instances live in `workers`, and the
-    // post-run merge materializes the platform-level views.
-    bool sharded = false;
-    struct WorkerShard;  // fleet.cc: one worker kernel's substrate
+    // --- Workers: one when fused, shards_per_platform when sharded -------
+    struct WorkerShard;  // fleet.cc: one worker's engine and profilers
     std::vector<std::unique_ptr<WorkerShard>> workers;
+    // --- Sharded only (null when fused) -----------------------------------
     std::unique_ptr<sim::ShardGroup> group;
     std::unique_ptr<ShardIoFabric> fabric;
     std::unique_ptr<profiling::Tracer> merged_tracer;
@@ -378,8 +376,18 @@ class FleetSimulation {
    */
   void BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng);
 
-  /** Builds a sharded slot (workers + storage kernel + fabric). */
-  void AddShardedPlatform(PlatformSpec spec);
+  /**
+   * Builds one worker's tracer, profiler, continuous profiler and engine,
+   * in that order, from the three given streams. `context` carries the
+   * worker's kernel, RPC fabric and shard fields; the rest comes from the
+   * slot, whose `group` must already be set for a sharded platform.
+   */
+  void BuildWorker(const PlatformSlot& slot,
+                   PlatformSlot::WorkerShard& worker, EngineContext context,
+                   Rng tracer_rng, Rng profiler_rng, Rng engine_rng);
+
+  /** A fault model on `rng` armed with the configured faults and outages. */
+  std::unique_ptr<net::FaultModel> MakeFaultModel(Rng rng) const;
 
   /** Post-run merge of a sharded platform's tracers and profilers. */
   void FinalizePlatform(PlatformSlot& slot);

@@ -102,7 +102,7 @@ void ShuffleRunner::SendStream(uint32_t index, uint32_t stream) {
   SimTime ingest = SimTime::FromSeconds(
       static_cast<double>(bytes) / state.params.ingest_bytes_per_second);
   rpc_->CallFixed(state.mappers[mapper], state.reducers[reducer], options,
-                  ingest, [this, index, reducer](const net::RpcResult&) {
+                  ingest, [this, index, reducer](const net::RpcOutcome&) {
                     OnStreamLanded(index, reducer);
                   });
 }

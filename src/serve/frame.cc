@@ -32,14 +32,9 @@ void PatchLe32(uint32_t v, uint8_t* p) {
 
 void EncodeFrame(const uint8_t* payload, size_t size,
                  std::vector<uint8_t>& out) {
-  out.reserve(out.size() + size + kFrameOverhead);
-  PutLe32(static_cast<uint32_t>(size), out);
+  const size_t payload_start = BeginFrame(out);
   out.insert(out.end(), payload, payload + size);
-  // Incremental CRC so the scatter-gather encoder can reuse this path;
-  // one-shot Crc32c over the same bytes is identical by contract.
-  workloads::Crc32cStream crc;
-  crc.Update(payload, size);
-  PutLe32(crc.value(), out);
+  EndFrame(out, payload_start);
 }
 
 size_t BeginFrame(std::vector<uint8_t>& out) {
@@ -90,7 +85,8 @@ void FrameDecoder::CommitBytes(size_t size) {
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t size) {
-  if (failed()) return;
+  // An empty feed must not reach memcpy: a fresh decoder's span is null.
+  if (failed() || size == 0) return;
   uint8_t* dst = WritableSpan(size);
   std::memcpy(dst, data, size);
   CommitBytes(size);

@@ -40,11 +40,11 @@ inline void EncodeFrame(const std::vector<uint8_t>& payload,
 }
 
 /**
- * Scatter-free in-place frame encoding: BeginFrame reserves the length
+ * In-place frame encoding, the one encoder: BeginFrame reserves the length
  * prefix in `out` and returns the payload start offset; the caller then
  * serializes the payload directly into `out` (no intermediate buffer) and
- * EndFrame patches the prefix and appends the CRC trailer. The pair
- * produces byte-identical output to EncodeFrame over the same payload.
+ * EndFrame patches the prefix and appends the CRC trailer. EncodeFrame is
+ * this pair around a copy of an already-encoded payload.
  */
 size_t BeginFrame(std::vector<uint8_t>& out);
 void EndFrame(std::vector<uint8_t>& out, size_t payload_start);

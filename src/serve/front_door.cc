@@ -50,124 +50,43 @@ void VirtualFrontDoor::OnEngineComplete(uint64_t ticket, SimTime latency) {
   sink_->OnResponse(ticket, response);
 }
 
-void VirtualFrontDoor::SubmitTicketed(const Request& request,
-                                      uint64_t ticket) {
-  assert(started_ && !finished_);
-  assert(sink_ != nullptr && "set_sink before SubmitTicketed");
-  Response response;
-  response.id = request.id;
-  if (request.platform >= fleet_->platform_count()) {
-    response.status = ResponseStatus::kError;
-    sink_->OnResponse(ticket, response);
-    return;
-  }
-  switch (request.kind) {
-    case RequestKind::kWindows:
-      FillWindows(request, &response);
-      sink_->OnResponse(ticket, response);
-      return;
-    case RequestKind::kStats:
-      FillStats(&response);
-      sink_->OnResponse(ticket, response);
-      return;
-    case RequestKind::kQuery:
-      break;
-  }
-  ++counters_.offered;
-  if (counters_.in_flight() >= options_.max_in_flight) {
-    ++counters_.shed;
-    response.status = ResponseStatus::kShed;
-    sink_->OnResponse(ticket, response);
-    return;
-  }
-  ++counters_.admitted;
-  fleet_->MutableEngineOf(request.platform).Submit(ticket);
-}
-
 void VirtualFrontDoor::SubmitTicketedBatch(const Request* requests,
                                            const uint64_t* tickets,
                                            size_t count) {
-  size_t i = 0;
-  while (i < count) {
+  assert(started_ && !finished_);
+  assert(sink_ != nullptr && "set_sink before SubmitTicketedBatch");
+  for (size_t i = 0; i < count; ++i) {
     const Request& request = requests[i];
-    if (request.kind == RequestKind::kQuery &&
-        request.platform < fleet_->platform_count() &&
-        counters_.in_flight() < options_.max_in_flight) {
-      // Maximal run of admissible same-platform queries: count them into
-      // the front-door ledger first (so the in-flight bound holds within
-      // the run), then hand the whole run to the engine in one call.
-      const uint32_t platform = request.platform;
-      batch_tickets_.clear();
-      while (i < count && requests[i].kind == RequestKind::kQuery &&
-             requests[i].platform == platform &&
-             counters_.in_flight() < options_.max_in_flight) {
-        ++counters_.offered;
-        ++counters_.admitted;
-        batch_tickets_.push_back(tickets[i]);
-        ++i;
-      }
-      fleet_->MutableEngineOf(platform).SubmitBatch(batch_tickets_.data(),
-                                                    batch_tickets_.size());
+    Response response;
+    response.id = request.id;
+    if (request.platform >= fleet_->platform_count()) {
+      response.status = ResponseStatus::kError;
+      sink_->OnResponse(tickets[i], response);
       continue;
     }
-    SubmitTicketed(request, tickets[i]);
-    ++i;
-  }
-}
-
-void VirtualFrontDoor::Submit(const Request& request,
-                              ResponseCallback on_done) {
-  assert(started_ && !finished_);
-  if (request.platform >= fleet_->platform_count()) {
-    Response response;
-    response.id = request.id;
-    response.status = ResponseStatus::kError;
-    on_done(response);
-    return;
-  }
-  switch (request.kind) {
-    case RequestKind::kWindows: {
-      Response response;
-      response.id = request.id;
-      FillWindows(request, &response);
-      on_done(response);
-      return;
+    switch (request.kind) {
+      case RequestKind::kWindows:
+        FillWindows(request, &response);
+        break;
+      case RequestKind::kStats:
+        FillStats(&response);
+        break;
+      case RequestKind::kQuery:
+        ++counters_.offered;
+        if (counters_.in_flight() < options_.max_in_flight) {
+          ++counters_.admitted;
+          fleet_->MutableEngineOf(request.platform).Submit(tickets[i]);
+          continue;  // answered from inside a later Pump()
+        }
+        // Load shedding: refuse at the door instead of queueing into an
+        // ever-growing backlog. The client sees an immediate kShed and
+        // can back off; the simulation stays at its admission bound.
+        ++counters_.shed;
+        response.status = ResponseStatus::kShed;
+        break;
     }
-    case RequestKind::kStats: {
-      Response response;
-      response.id = request.id;
-      FillStats(&response);
-      on_done(response);
-      return;
-    }
-    case RequestKind::kQuery:
-      break;
+    sink_->OnResponse(tickets[i], response);
   }
-  ++counters_.offered;
-  if (counters_.in_flight() >= options_.max_in_flight) {
-    // Load shedding: refuse at the door instead of queueing into an
-    // ever-growing backlog. The client sees an immediate kShed and can
-    // back off; the simulation stays at its admission bound.
-    ++counters_.shed;
-    Response response;
-    response.id = request.id;
-    response.status = ResponseStatus::kShed;
-    on_done(response);
-    return;
-  }
-  ++counters_.admitted;
-  const uint64_t id = request.id;
-  auto done = std::move(on_done);
-  fleet_->MutableEngineOf(request.platform)
-      .Submit([this, id, done](SimTime latency) {
-        ++counters_.completed;
-        ++counters_.responses;
-        Response response;
-        response.id = id;
-        response.status = ResponseStatus::kOk;
-        response.latency_nanos = static_cast<uint64_t>(latency.nanos());
-        done(response);
-      });
 }
 
 bool VirtualFrontDoor::Pump(SimTime until) {
@@ -180,7 +99,7 @@ bool VirtualFrontDoor::Pump(SimTime until) {
 void VirtualFrontDoor::Finish() {
   assert(started_ && !finished_);
   // Run the fleet to quiesce first so every in-flight completion fires
-  // (and its response callback with it) before the post-run merges.
+  // (and reaches the sink) before the post-run merges.
   fleet_->Advance(SimTime::Max());
   finished_ = true;
   fleet_->Finish();

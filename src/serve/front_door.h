@@ -2,9 +2,7 @@
 #define HYPERPROF_SERVE_FRONT_DOOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "platforms/fleet.h"
 #include "serve/protocol.h"
@@ -26,7 +24,7 @@ struct FrontDoorOptions {
   /**
    * Fleet configuration. queries_per_platform is forced to zero — a
    * serving fleet has no batch workload; every query enters through
-   * Submit. Sharded platforms are not supported (a sharded engine owns a
+   * SubmitTicketedBatch. Sharded platforms are not supported (a sharded engine owns a
    * fixed query partition); keep shards_per_platform = 0.
    */
   platforms::FleetConfig fleet;
@@ -57,13 +55,11 @@ struct FrontDoorOptions {
  */
 class VirtualFrontDoor {
  public:
-  using ResponseCallback = std::function<void(const Response&)>;
-
   /**
-   * Allocation-free response delivery for the ticketed path. The daemon
-   * registers one sink; every response — synchronous (shed/error/
-   * windows/stats) or a completion fired from inside Pump() — arrives
-   * here tagged with the submission's ticket. `response` is mutable so
+   * Allocation-free response delivery. The daemon registers one sink;
+   * every response — synchronous (shed/error/windows/stats) or a
+   * completion fired from inside Pump() — arrives here tagged with the
+   * submission's ticket. `response` is mutable so
    * the receiver can stamp its own request id (completions carry id 0;
    * the front door does not retain request ids for admitted queries) and
    * serialize in place. The reference is only valid for the duration of
@@ -89,15 +85,7 @@ class VirtualFrontDoor {
   /** Opens the door (starts the incremental fleet run). */
   void Start();
 
-  /**
-   * Handles one decoded request. kWindows/kStats respond synchronously;
-   * kQuery either sheds synchronously (overload, `on_done` fires before
-   * Submit returns) or admits the query, in which case `on_done` fires
-   * from inside a later Pump() once the query completes in virtual time.
-   */
-  void Submit(const Request& request, ResponseCallback on_done);
-
-  /** Registers the ticketed-path sink. Required before SubmitTicketed. */
+  /** Registers the response sink. Required before SubmitTicketedBatch. */
   void set_sink(ResponseSink* sink) { sink_ = sink; }
 
   /**
@@ -109,19 +97,16 @@ class VirtualFrontDoor {
   }
 
   /**
-   * Ticketed Submit: same admission semantics, but every response is
-   * delivered to the registered ResponseSink with `ticket` and the whole
-   * path — admission, completion, delivery — allocates nothing.
-   */
-  void SubmitTicketed(const Request& request, uint64_t ticket);
-
-  /**
-   * Admits a batch of decoded requests in arrival order — the daemon
-   * calls this once per epoll wake, then pumps once. Runs of admissible
-   * same-platform queries ride one engine SubmitBatch; interleaved
-   * synchronous kinds (and shed responses) are answered at their exact
-   * position in the batch, so the observable outcome is identical to
-   * `count` SubmitTicketed calls in order.
+   * The one admission path: handles a batch of decoded requests in
+   * arrival order, each under its own ticket — the daemon calls this once
+   * per epoll wake, then pumps once. Per request it checks the platform
+   * bound (kError), then the kind: kWindows and kStats respond
+   * synchronously; a kQuery sheds synchronously (kShed) when
+   * max_in_flight queries are already in flight, else it is admitted at
+   * the current virtual time and its kOk response arrives from inside a
+   * later Pump(). The outcome never depends on how requests are split
+   * into batches, and the whole path — admission, completion, delivery —
+   * allocates nothing.
    */
   void SubmitTicketedBatch(const Request* requests, const uint64_t* tickets,
                            size_t count);
@@ -154,9 +139,6 @@ class VirtualFrontDoor {
   ServingCounters counters_;
   ResponseSink* sink_ = nullptr;
   const uint64_t* serve_allocs_counter_ = nullptr;
-  // Scratch for SubmitTicketedBatch's per-platform runs; capacity is
-  // retained so steady-state batches never allocate.
-  std::vector<uint64_t> batch_tickets_;
   bool started_ = false;
   bool finished_ = false;
 };

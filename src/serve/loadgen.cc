@@ -102,7 +102,6 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
   double measured_start = -1;  // send time of the first measured request
   double drain_deadline = -1;
 
-  protowire::WireBuffer payload;
   std::vector<uint8_t> frame_payload;
   std::vector<pollfd> pfds(conns.size());
   uint8_t read_buffer[64 * 1024];
@@ -116,10 +115,12 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
       request.id = next_id;
       request.kind = RequestKind::kQuery;
       request.platform = options.platform;
-      payload.clear();
-      EncodeRequest(request, payload);
-      EncodeFrame(payload.data(), payload.size(),
-                  conns[next_id % conns.size()].outbuf);
+      // Serialize straight into the connection's output buffer, as the
+      // daemon does its responses.
+      std::vector<uint8_t>& out = conns[next_id % conns.size()].outbuf;
+      const size_t payload_start = BeginFrame(out);
+      EncodeRequest(request, out);
+      EndFrame(out, payload_start);
       sent_at[next_id] = now;
       if (next_id >= warmup) {
         if (measured_start < 0) measured_start = now;

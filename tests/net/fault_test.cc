@@ -136,12 +136,12 @@ TEST(FaultRpcTest, TimeoutFiresExactlyOnce) {
   policy.max_attempts = 1;
   int completions = 0;
   RpcOutcome outcome;
-  stack.rpc.CallFixedWithPolicy(stack.client, stack.server, RpcOptions{},
-                                policy, SimTime::Zero(),
-                                [&](const RpcOutcome& o) {
-                                  ++completions;
-                                  outcome = o;
-                                });
+  stack.rpc.CallWithPolicy(stack.client, stack.server, RpcOptions{}, policy,
+                           stack.rpc.FixedServer(SimTime::Zero()),
+                           [&](const RpcOutcome& o) {
+                             ++completions;
+                             outcome = o;
+                           });
   stack.simulator.Run();
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(stack.rpc.timeouts_fired(), 1u);
@@ -163,12 +163,12 @@ TEST(FaultRpcTest, RetriesExhaustDeterministically) {
     policy.backoff_jitter = 0.5;  // exercises the jitter draw
     SimTime completed_at;
     RpcOutcome outcome;
-    stack.rpc.CallFixedWithPolicy(stack.client, stack.server, RpcOptions{},
-                                  policy, SimTime::Zero(),
-                                  [&](const RpcOutcome& o) {
-                                    outcome = o;
-                                    completed_at = stack.simulator.Now();
-                                  });
+    stack.rpc.CallWithPolicy(stack.client, stack.server, RpcOptions{},
+                             policy, stack.rpc.FixedServer(SimTime::Zero()),
+                             [&](const RpcOutcome& o) {
+                               outcome = o;
+                               completed_at = stack.simulator.Now();
+                             });
     stack.simulator.Run();
     EXPECT_EQ(outcome.attempts, 3u);
     EXPECT_EQ(outcome.failures, 3u);
@@ -197,12 +197,12 @@ TEST(FaultRpcTest, RetrySucceedsAfterTransientError) {
   stack.simulator.Schedule(SimTime::FromSeconds(0.5), [&]() {
     stack.faults.set_default_faults(FaultSpec{});
   });
-  stack.rpc.CallFixedWithPolicy(stack.client, stack.server, RpcOptions{},
-                                policy, SimTime::Micros(100),
-                                [&](const RpcOutcome& o) {
-                                  ++completions;
-                                  outcome = o;
-                                });
+  stack.rpc.CallWithPolicy(stack.client, stack.server, RpcOptions{}, policy,
+                           stack.rpc.FixedServer(SimTime::Micros(100)),
+                           [&](const RpcOutcome& o) {
+                             ++completions;
+                             outcome = o;
+                           });
   stack.simulator.Run();
   EXPECT_EQ(completions, 1);
   EXPECT_TRUE(outcome.ok());
@@ -255,9 +255,9 @@ TEST(FaultRpcTest, HedgeNotIssuedWhenPrimaryWinsFirst) {
   policy.max_attempts = 2;
   policy.hedge_delay = SimTime::FromSeconds(5);  // far beyond completion
   RpcOutcome outcome;
-  stack.rpc.CallFixedWithPolicy(stack.client, stack.server, RpcOptions{},
-                                policy, SimTime::Micros(100),
-                                [&](const RpcOutcome& o) { outcome = o; });
+  stack.rpc.CallWithPolicy(stack.client, stack.server, RpcOptions{}, policy,
+                           stack.rpc.FixedServer(SimTime::Micros(100)),
+                           [&](const RpcOutcome& o) { outcome = o; });
   stack.simulator.Run();
   EXPECT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome.hedged);
@@ -281,10 +281,14 @@ TEST(FaultRpcTest, SlowdownDelaysResponseByExactExtra) {
   SimTime plain_total, slowed_total;
   plain.rpc.CallFixed(plain.client, plain.server, RpcOptions{},
                       SimTime::Micros(50),
-                      [&](const RpcResult& r) { plain_total = r.Total(); });
+                      [&](const RpcOutcome& o) {
+                        plain_total = o.result.Total();
+                      });
   slowed.rpc.CallFixed(slowed.client, slowed.server, RpcOptions{},
                        SimTime::Micros(50),
-                       [&](const RpcResult& r) { slowed_total = r.Total(); });
+                       [&](const RpcOutcome& o) {
+                         slowed_total = o.result.Total();
+                       });
   plain.simulator.Run();
   slowed.simulator.Run();
   EXPECT_EQ(slowed_total, plain_total + SimTime::Millis(20));
@@ -298,11 +302,11 @@ TEST(FaultRpcTest, OutageFailsCallsOnlyInsideWindow) {
   Status during, after;
   stack.rpc.CallFixed(stack.client, stack.server, RpcOptions{},
                       SimTime::Zero(),
-                      [&](const RpcResult& r) { during = r.status; });
+                      [&](const RpcOutcome& o) { during = o.status; });
   stack.simulator.Schedule(SimTime::FromSeconds(2), [&]() {
     stack.rpc.CallFixed(stack.client, stack.server, RpcOptions{},
                         SimTime::Zero(),
-                        [&](const RpcResult& r) { after = r.status; });
+                        [&](const RpcOutcome& o) { after = o.status; });
   });
   stack.simulator.Run();
   EXPECT_EQ(during.code(), StatusCode::kUnavailable);
@@ -311,20 +315,24 @@ TEST(FaultRpcTest, OutageFailsCallsOnlyInsideWindow) {
 }
 
 TEST(FaultRpcTest, PlainPolicyIsBitIdenticalToLegacyCall) {
-  // Same seeds, same workload; one goes through Call, the other through
-  // CallWithPolicy with the zero policy. Every completion must land at the
-  // exact same simulated instant with the exact same timings.
+  // Same seeds, same workload; one goes through CallFixed, the other
+  // through CallWithPolicy with the zero policy and a hand-written
+  // fixed-delay handler. Every completion must land at the exact same
+  // simulated instant with the exact same timings.
   Stack legacy;
   Stack wrapped;
   std::vector<SimTime> legacy_times, wrapped_times;
   for (int i = 0; i < 20; ++i) {
     legacy.rpc.CallFixed(legacy.client, legacy.server, RpcOptions{},
-                         SimTime::Micros(100), [&](const RpcResult& r) {
-                           legacy_times.push_back(r.Total());
+                         SimTime::Micros(100), [&](const RpcOutcome& o) {
+                           legacy_times.push_back(o.result.Total());
                          });
-    wrapped.rpc.CallFixedWithPolicy(
+    wrapped.rpc.CallWithPolicy(
         wrapped.client, wrapped.server, RpcOptions{}, RpcCallPolicy{},
-        SimTime::Micros(100), [&](const RpcOutcome& o) {
+        [&wrapped](RpcSystem::Respond respond) {
+          wrapped.simulator.Schedule(SimTime::Micros(100), respond);
+        },
+        [&](const RpcOutcome& o) {
           EXPECT_TRUE(o.ok());
           EXPECT_EQ(o.attempts, 1u);
           wrapped_times.push_back(o.result.Total());
@@ -347,7 +355,7 @@ TEST(FaultRpcTest, LatencyQuantileGivesHedgeDelayRecipe) {
   Stack stack;
   for (int i = 0; i < 200; ++i) {
     stack.rpc.CallFixed(stack.client, stack.server, RpcOptions{},
-                        SimTime::Micros(100), [](const RpcResult&) {});
+                        SimTime::Micros(100), [](const RpcOutcome&) {});
   }
   stack.simulator.Run();
   SimTime p50 = stack.rpc.LatencyQuantile(0.50);

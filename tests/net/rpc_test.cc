@@ -25,7 +25,8 @@ TEST_F(RpcTest, CompletesWithServerAndNetworkTime) {
   options.response_bytes = 1024;
   bool completed = false;
   rpc_.CallFixed(client_, server_, options, SimTime::Micros(500),
-                 [&](const RpcResult& result) {
+                 [&](const RpcOutcome& outcome) {
+                   const RpcResult& result = outcome.result;
                    completed = true;
                    EXPECT_EQ(result.server_time, SimTime::Micros(500));
                    EXPECT_GT(result.network_time, SimTime::Zero());
@@ -71,7 +72,7 @@ TEST_F(RpcTest, LatencyHistogramRecordsCalls) {
   RpcOptions options;
   for (int i = 0; i < 10; ++i) {
     rpc_.CallFixed(client_, server_, options, SimTime::Micros(100),
-                   [](const RpcResult&) {});
+                   [](const RpcOutcome&) {});
   }
   simulator_.Run();
   EXPECT_EQ(rpc_.latency_histogram().count(), 10u);
@@ -88,7 +89,7 @@ TEST_F(RpcTest, NestedRpcFromHandler) {
       [&](RpcSystem::Respond respond) {
         // Server fans out to a backend before responding.
         rpc_.CallFixed(server_, backend, RpcOptions{}, SimTime::Micros(50),
-                       [respond](const RpcResult&) { respond(); });
+                       [respond](const RpcOutcome&) { respond(); });
       },
       [&](const RpcOutcome& outcome) {
         outer_done = true;
@@ -103,9 +104,9 @@ TEST_F(RpcTest, CrossRegionSlowerThanLocal) {
   RpcOptions options;
   SimTime local_total, remote_total;
   rpc_.CallFixed(client_, server_, options, SimTime::Zero(),
-                 [&](const RpcResult& r) { local_total = r.Total(); });
+                 [&](const RpcOutcome& o) { local_total = o.result.Total(); });
   rpc_.CallFixed(client_, NodeId{1, 0, 0}, options, SimTime::Zero(),
-                 [&](const RpcResult& r) { remote_total = r.Total(); });
+                 [&](const RpcOutcome& o) { remote_total = o.result.Total(); });
   simulator_.Run();
   EXPECT_GT(remote_total, local_total * 10);
 }

@@ -4,67 +4,21 @@
 // shuffle and barriers must perform ZERO heap allocations per query, apart
 // from the residual sites listed here by name with their counts.
 //
-// This binary replaces the global allocator with a counting shim (the
-// serve_alloc_test / shard_group_test pattern); it must stay its own test
-// executable so the override can't leak into other suites.
+// This binary replaces the global allocator with the counting shim of
+// tests/common/counting_alloc.h; it must stay its own test executable so
+// the override can't leak into other suites.
 //
 // The substrate is staged so that only the query path is measured:
 // fileserver caches small enough to fill during warm-up (a growing cache
 // table is storage state, not the query path), and the tracer in
 // kSampleReservoir mode (kRetainAll keeps every trace by design).
 
-#include <execinfo.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-// Debug aid: set HYPERPROF_TRAP_ALLOC=1 to dump a backtrace of each
-// allocation inside a measured window.
-std::atomic<bool> g_trap_on_alloc{false};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (g_trap_on_alloc.load(std::memory_order_relaxed)) {
-    g_trap_on_alloc.store(false, std::memory_order_relaxed);
-    void* frames[32];
-    const int depth = backtrace(frames, 32);
-    backtrace_symbols_fd(frames, depth, STDERR_FILENO);
-    g_trap_on_alloc.store(true, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// std::stable_sort's temporary buffer takes the nothrow form; routing it
-// through the counter too keeps every new/delete pair on malloc/free.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return ::operator new(size, tag);
-}
-void operator delete(void* ptr, const std::nothrow_t&) noexcept {
-  std::free(ptr);
-}
-void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
-  std::free(ptr);
-}
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "../common/counting_alloc.h"
 #include "gtest/gtest.h"
 #include "net/rpc.h"
 #include "platforms/engine.h"
@@ -74,17 +28,6 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace hyperprof::platforms {
 namespace {
-
-/** Allocations counted over `fn`, with the trap armed if requested. */
-template <typename Fn>
-uint64_t CountAllocations(Fn&& fn) {
-  static const bool trap = std::getenv("HYPERPROF_TRAP_ALLOC") != nullptr;
-  const uint64_t before = g_allocation_count.load();
-  g_trap_on_alloc.store(trap);
-  fn();
-  g_trap_on_alloc.store(false);
-  return g_allocation_count.load() - before;
-}
 
 /** One residual allocation site and its count per consensus round. */
 struct ResidualSite {
@@ -303,7 +246,7 @@ TEST(EngineAllocTest, PlainCallsReuseOneExchangeRecord) {
         },
         [&](const net::RpcOutcome&) {
           rpc.CallFixed(client, server, net::RpcOptions{}, SimTime::Micros(5),
-                        [&](const net::RpcResult&) { next(); });
+                        [&](const net::RpcOutcome&) { next(); });
         });
   };
   remaining = 10;

@@ -1,35 +1,18 @@
 // Steady-state allocation tests for the trace pipeline. This binary
-// replaces the global allocator with a counting shim; it must stay its own
-// test executable so the override can't leak into other suites.
+// replaces the global allocator with the counting shim of
+// tests/common/counting_alloc.h; it must stay its own test executable so
+// the override can't leak into other suites.
 //
 // The property under test: once a reservoir-mode Tracer has warmed up on a
 // workload shape (slot table grown, span vectors at capacity, breakdown
 // rows discovered, reservoir full), further Start/AddSpan/Finish cycles
 // perform ZERO heap allocations.
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include <gtest/gtest.h>
 
+#include "../common/counting_alloc.h"
 #include "profiling/tracer.h"
 #include "profiling/aggregate.h"
 #include "profiling/continuous.h"
-
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace hyperprof::profiling {
 namespace {
@@ -51,9 +34,9 @@ void RunQuery(Tracer& tracer, NameId platform, NameId type,
 }
 
 TEST(TracerMemoryTest, AllocationCounterIsLive) {
-  uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t before = AllocationCount();
   auto* probe = new std::vector<int>(128);
-  uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t after = AllocationCount();
   delete probe;
   EXPECT_GT(after, before);
 }
@@ -76,11 +59,11 @@ TEST(TracerMemoryTest, SteadyStateIngestAllocatesNothing) {
     RunQuery(tracer, platform, type, span_names, now_us);
   }
 
-  uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t before = AllocationCount();
   for (int i = 0; i < 2000; ++i) {
     RunQuery(tracer, platform, type, span_names, now_us);
   }
-  uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t after = AllocationCount();
 
   EXPECT_EQ(after - before, 0u)
       << "steady-state ingest performed " << (after - before)
@@ -120,9 +103,9 @@ TEST(TracerMemoryTest, SteadyStateWithConcurrentOpenQueries) {
   };
 
   pump(1000);
-  uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t before = AllocationCount();
   pump(1000);
-  uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t after = AllocationCount();
   EXPECT_EQ(after - before, 0u);
   EXPECT_EQ(tracer.open_slot_capacity(), kInFlight);
 }
@@ -164,7 +147,7 @@ TEST(TracerMemoryTest, WindowedPathAllocatesNothingAtSteadyState) {
     RunQuery(tracer, platform, type, span_names, now_us);
   }
 
-  uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t before = AllocationCount();
   for (int i = 0; i < 2000; ++i) {
     RunQuery(tracer, platform, type, span_names, now_us);
     AttributedTime attributed;
@@ -174,7 +157,7 @@ TEST(TracerMemoryTest, WindowedPathAllocatesNothingAtSteadyState) {
   merged.MergeFrom(worker);
   merged.Finalize();
   double p99 = continuous.RollingQuantile(WindowCategory::kLatency, 0.99);
-  uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t after = AllocationCount();
 
   EXPECT_EQ(after - before, 0u)
       << "windowed steady-state path performed " << (after - before)
@@ -200,11 +183,11 @@ TEST(TracerMemoryTest, RetainAllModeGrowsAsExpected) {
   for (int i = 0; i < 100; ++i) {
     RunQuery(tracer, platform, type, span_names, now_us);
   }
-  uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t before = AllocationCount();
   for (int i = 0; i < 1000; ++i) {
     RunQuery(tracer, platform, type, span_names, now_us);
   }
-  uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t after = AllocationCount();
   EXPECT_GT(after - before, 0u);
   EXPECT_EQ(tracer.traces().size(), 1100u);
 }

@@ -4,9 +4,9 @@
 // recv, frame decode, batch admission, virtual-time completion, response
 // serialization, sendmsg flush — must perform ZERO heap allocations.
 //
-// This binary replaces the global allocator with a counting shim (the
-// tracer_memory_test / shard_group_test pattern); it must stay its own
-// test executable so the override can't leak into other suites.
+// This binary replaces the global allocator with the counting shim of
+// tests/common/counting_alloc.h; it must stay its own test executable so
+// the override can't leak into other suites.
 //
 // The platform spec is crafted so the *engine* is also allocation-free in
 // steady state: a single compute phase whose mean is far below the
@@ -15,38 +15,6 @@
 // and a tracer sampling period larger than the test's traffic (no span
 // storage). The daemon side needs no such staging — its zero-alloc
 // guarantee is unconditional and separately accounted by serve_allocs().
-
-#include <execinfo.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-// Debug aid: set HYPERPROF_TRAP_ALLOC=1 and arm inside a measured window
-// to dump a backtrace of each offending allocation site.
-std::atomic<bool> g_trap_on_alloc{false};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (g_trap_on_alloc.load(std::memory_order_relaxed)) {
-    g_trap_on_alloc.store(false, std::memory_order_relaxed);
-    void* frames[32];
-    const int depth = backtrace(frames, 32);
-    backtrace_symbols_fd(frames, depth, STDERR_FILENO);
-    g_trap_on_alloc.store(true, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 #include <errno.h>
 #include <fcntl.h>
@@ -58,6 +26,7 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 #include <cstring>
 #include <vector>
 
+#include "../common/counting_alloc.h"
 #include "gtest/gtest.h"
 #include "platforms/platforms.h"
 #include "serve/frame.h"
@@ -191,16 +160,14 @@ TEST(ServeAllocTest, WarmedQueryCyclesAllocateNothing) {
     ASSERT_TRUE(harness.Cycle(RequestKind::kQuery)) << "warmup cycle " << i;
   }
 
-  const uint64_t allocs_before =
-      g_allocation_count.load(std::memory_order_relaxed);
   const uint64_t serve_allocs_before = harness.daemon().serve_allocs();
   int ok = 0;
   constexpr int kCycles = 256;
-  for (int i = 0; i < kCycles; ++i) {
-    if (harness.Cycle(RequestKind::kQuery)) ++ok;  // no gtest in the loop
-  }
-  const uint64_t allocs =
-      g_allocation_count.load(std::memory_order_relaxed) - allocs_before;
+  const uint64_t allocs = CountAllocations([&] {
+    for (int i = 0; i < kCycles; ++i) {
+      if (harness.Cycle(RequestKind::kQuery)) ++ok;  // no gtest in the loop
+    }
+  });
   const uint64_t serve_allocs =
       harness.daemon().serve_allocs() - serve_allocs_before;
 
@@ -218,17 +185,13 @@ TEST(ServeAllocTest, WarmedStatsCyclesAllocateNothing) {
     ASSERT_TRUE(harness.Cycle(RequestKind::kStats)) << "warmup cycle " << i;
   }
 
-  const uint64_t allocs_before =
-      g_allocation_count.load(std::memory_order_relaxed);
-  if (std::getenv("HYPERPROF_TRAP_ALLOC")) g_trap_on_alloc.store(true);
   int ok = 0;
   constexpr int kCycles = 64;
-  for (int i = 0; i < kCycles; ++i) {
-    if (harness.Cycle(RequestKind::kStats)) ++ok;
-  }
-  g_trap_on_alloc.store(false);
-  const uint64_t allocs =
-      g_allocation_count.load(std::memory_order_relaxed) - allocs_before;
+  const uint64_t allocs = CountAllocations([&] {
+    for (int i = 0; i < kCycles; ++i) {
+      if (harness.Cycle(RequestKind::kStats)) ++ok;
+    }
+  });
 
   EXPECT_EQ(ok, kCycles);
   EXPECT_EQ(allocs, 0u) << "kStats responses must encode scratch-free";

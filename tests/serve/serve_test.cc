@@ -559,28 +559,69 @@ TEST(ServeTest, LoadGenMultiConnectionWarmupExcludedFromStats) {
   EXPECT_GT(report.latency_p50_ms, 0.0);
 }
 
+/** Records every response the front door delivers, in delivery order. */
+class RecordingSink : public VirtualFrontDoor::ResponseSink {
+ public:
+  struct Entry {
+    uint64_t ticket = 0;
+    ResponseStatus status = ResponseStatus::kOk;
+    uint64_t latency_nanos = 0;
+    bool has_stats = false;
+    StatsSummary stats;
+    size_t windows = 0;
+  };
+
+  void OnResponse(uint64_t ticket, Response& response) override {
+    Entry entry;
+    entry.ticket = ticket;
+    entry.status = response.status;
+    entry.latency_nanos = response.latency_nanos;
+    entry.has_stats = response.has_stats;
+    entry.stats = response.stats;
+    entry.windows = response.windows.size();
+    entries.push_back(entry);
+  }
+
+  /** Entries by ticket (each ticket is answered exactly once). */
+  std::vector<Entry> ByTicket(size_t tickets) const {
+    std::vector<Entry> by_ticket(tickets);
+    std::vector<int> seen(tickets, 0);
+    for (const Entry& entry : entries) {
+      EXPECT_LT(entry.ticket, tickets);
+      if (entry.ticket >= tickets) continue;
+      EXPECT_EQ(seen[entry.ticket]++, 0) << "ticket " << entry.ticket;
+      by_ticket[entry.ticket] = entry;
+    }
+    return by_ticket;
+  }
+
+  std::vector<Entry> entries;
+};
+
+/** A started front door over three cheap platforms. */
+void StartCheapDoor(VirtualFrontDoor& door, RecordingSink& sink) {
+  door.AddPlatform(CheapSpec("a"));
+  door.AddPlatform(CheapSpec("b"));
+  door.AddPlatform(CheapSpec("c"));
+  door.set_sink(&sink);
+  door.Start();
+}
+
 // The socketless accounting core: the same arithmetic the
 // serving-accounting invariant checks fleet-wide.
 TEST(ServeTest, FrontDoorAccountingBalances) {
   FrontDoorOptions options;
   options.max_in_flight = 4;
   VirtualFrontDoor door(options);
-  door.AddPlatform(CheapSpec("a"));
-  door.AddPlatform(CheapSpec("b"));
-  door.AddPlatform(CheapSpec("c"));
-  door.Start();
+  RecordingSink sink;
+  StartCheapDoor(door, sink);
 
-  uint64_t responses = 0, ok = 0, shed = 0;
   constexpr uint64_t kCount = 64;
   for (uint64_t id = 0; id < kCount; ++id) {
     Request request;
     request.id = id;
     request.kind = RequestKind::kQuery;
-    door.Submit(request, [&](const Response& response) {
-      ++responses;
-      if (response.status == ResponseStatus::kOk) ++ok;
-      if (response.status == ResponseStatus::kShed) ++shed;
-    });
+    door.SubmitTicketedBatch(&request, &id, 1);
     // Alternate bursts and quiet periods so both the shed and the admit
     // paths run: pumping lets in-flight queries finish.
     if (id % 8 == 7) {
@@ -593,6 +634,11 @@ TEST(ServeTest, FrontDoorAccountingBalances) {
   }
 
   door.Finish();
+  uint64_t ok = 0, shed = 0;
+  for (const RecordingSink::Entry& entry : sink.entries) {
+    if (entry.status == ResponseStatus::kOk) ++ok;
+    if (entry.status == ResponseStatus::kShed) ++shed;
+  }
   const ServingCounters& counters = door.counters();
   EXPECT_EQ(counters.offered, kCount);
   EXPECT_GT(counters.shed, 0u);       // the tight bound did engage
@@ -600,7 +646,7 @@ TEST(ServeTest, FrontDoorAccountingBalances) {
   EXPECT_EQ(counters.in_flight(), 0u);
   EXPECT_EQ(counters.completed, counters.admitted);
   EXPECT_EQ(counters.responses, counters.completed);
-  EXPECT_EQ(responses, kCount);
+  EXPECT_EQ(sink.entries.size(), kCount);
   EXPECT_EQ(ok, counters.completed);
   EXPECT_EQ(shed, counters.shed);
 }
@@ -611,22 +657,18 @@ TEST(ServeTest, FrontDoorDeterministicAcrossPumpChunking) {
   auto run = [](SimTime step) {
     FrontDoorOptions options;
     VirtualFrontDoor door(options);
-    door.AddPlatform(CheapSpec("a"));
-    door.AddPlatform(CheapSpec("b"));
-    door.AddPlatform(CheapSpec("c"));
-    door.Start();
-    // Keyed by request id: callback *interleaving* across platforms is a
+    RecordingSink sink;
+    StartCheapDoor(door, sink);
+    // Keyed by ticket: completion *interleaving* across platforms is a
     // function of pump chunking (each pump advances platforms in turn),
     // but every individual query's latency must be bit-identical.
-    std::vector<uint64_t> latencies(32, 0);
-    for (uint64_t id = 0; id < 32; ++id) {
+    constexpr uint64_t kCount = 32;
+    for (uint64_t id = 0; id < kCount; ++id) {
       Request request;
       request.id = id;
       request.kind = RequestKind::kQuery;
       request.platform = static_cast<uint32_t>(id % 3);
-      door.Submit(request, [&latencies, id](const Response& response) {
-        latencies[id] = response.latency_nanos;
-      });
+      door.SubmitTicketedBatch(&request, &id, 1);
     }
     SimTime horizon = door.virtual_now();
     const SimTime end = horizon + SimTime::Seconds(2);
@@ -635,12 +677,101 @@ TEST(ServeTest, FrontDoorDeterministicAcrossPumpChunking) {
       door.Pump(horizon);
     }
     door.Finish();
+    std::vector<uint64_t> latencies;
+    for (const RecordingSink::Entry& entry : sink.ByTicket(kCount)) {
+      latencies.push_back(entry.latency_nanos);
+    }
     return latencies;
   };
 
   const auto coarse = run(SimTime::Millis(500));
   const auto fine = run(SimTime::Micros(700));
   EXPECT_EQ(coarse, fine);
+}
+
+// Batching is a wall-clock device only: one SubmitTicketedBatch over a
+// mixed batch must answer every ticket exactly as feeding the same
+// requests one call at a time does — same status, same latency, same
+// stats snapshot at the same position, same counters.
+TEST(ServeTest, BatchAdmissionEqualsOneAtATimeAdmission) {
+  std::vector<Request> requests;
+  auto add = [&requests](RequestKind kind, uint32_t platform) {
+    Request request;
+    request.id = requests.size();
+    request.kind = kind;
+    request.platform = platform;
+    requests.push_back(request);
+  };
+  // Queries to all three platforms, in runs and interleaved; a stats and
+  // a windows request mid-batch; an unknown platform; and more queries
+  // than max_in_flight, so the tail sheds.
+  for (uint32_t i = 0; i < 5; ++i) add(RequestKind::kQuery, i % 3);
+  add(RequestKind::kStats, 0);
+  add(RequestKind::kQuery, 2);
+  add(RequestKind::kQuery, 2);
+  add(RequestKind::kWindows, 1);
+  add(RequestKind::kQuery, 7);  // no such platform
+  for (uint32_t i = 0; i < 8; ++i) add(RequestKind::kQuery, (i / 2) % 3);
+  add(RequestKind::kStats, 1);
+  std::vector<uint64_t> tickets(requests.size());
+  for (size_t i = 0; i < tickets.size(); ++i) tickets[i] = i;
+
+  struct Outcome {
+    std::vector<RecordingSink::Entry> by_ticket;
+    ServingCounters counters;
+  };
+  auto run = [&](bool batched) {
+    FrontDoorOptions options;
+    options.max_in_flight = 10;
+    VirtualFrontDoor door(options);
+    RecordingSink sink;
+    StartCheapDoor(door, sink);
+    if (batched) {
+      door.SubmitTicketedBatch(requests.data(), tickets.data(),
+                               requests.size());
+    } else {
+      for (size_t i = 0; i < requests.size(); ++i) {
+        door.SubmitTicketedBatch(&requests[i], &tickets[i], 1);
+      }
+    }
+    door.Pump(door.virtual_now() + SimTime::Millis(20));
+    door.Finish();
+    return Outcome{sink.ByTicket(requests.size()), door.counters()};
+  };
+
+  const Outcome batched = run(true);
+  const Outcome single = run(false);
+  ASSERT_EQ(batched.by_ticket.size(), single.by_ticket.size());
+  for (size_t t = 0; t < batched.by_ticket.size(); ++t) {
+    const RecordingSink::Entry& a = batched.by_ticket[t];
+    const RecordingSink::Entry& b = single.by_ticket[t];
+    EXPECT_EQ(a.status, b.status) << "ticket " << t;
+    EXPECT_EQ(a.latency_nanos, b.latency_nanos) << "ticket " << t;
+    EXPECT_EQ(a.has_stats, b.has_stats) << "ticket " << t;
+    EXPECT_EQ(a.stats.offered, b.stats.offered) << "ticket " << t;
+    EXPECT_EQ(a.stats.admitted, b.stats.admitted) << "ticket " << t;
+    EXPECT_EQ(a.stats.shed, b.stats.shed) << "ticket " << t;
+    EXPECT_EQ(a.stats.in_flight, b.stats.in_flight) << "ticket " << t;
+    EXPECT_EQ(a.windows, b.windows) << "ticket " << t;
+  }
+  const ServingCounters& a = batched.counters;
+  const ServingCounters& b = single.counters;
+  EXPECT_EQ(a.offered, b.offered);
+  EXPECT_EQ(a.admitted, b.admitted);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.responses, b.responses);
+
+  // The batch really mixes every outcome.
+  EXPECT_EQ(a.offered, 15u);  // queries to known platforms
+  EXPECT_EQ(a.admitted, 10u);
+  EXPECT_EQ(a.shed, 5u);
+  EXPECT_EQ(a.completed, a.admitted);
+  EXPECT_EQ(batched.by_ticket[9].status, ResponseStatus::kError);
+  EXPECT_TRUE(batched.by_ticket[5].has_stats);
+  EXPECT_EQ(batched.by_ticket[5].stats.admitted, 5u);
+  EXPECT_EQ(batched.by_ticket[8].status, ResponseStatus::kOk);
+  EXPECT_EQ(batched.by_ticket[18].stats.shed, 5u);
 }
 
 }  // namespace

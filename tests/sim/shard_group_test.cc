@@ -3,14 +3,11 @@
 // error propagation, and the zero-steady-state-allocation guarantee of
 // the exchange path.
 //
-// This binary replaces the global allocator with a counting shim (the
-// tracer_memory_test pattern); it must stay its own test executable so
+// This binary replaces the global allocator with the counting shim of
+// tests/common/counting_alloc.h; it must stay its own test executable so
 // the override can't leak into other suites.
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -20,23 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/counting_alloc.h"
 #include "sim/shard_group.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace hyperprof::sim {
 namespace {
@@ -132,9 +115,9 @@ struct Tick {
 };
 
 TEST(ShardGroupTest, AllocationCounterIsLive) {
-  uint64_t before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t before = AllocationCount();
   auto* probe = new std::vector<int>(128);
-  uint64_t after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t after = AllocationCount();
   delete probe;
   EXPECT_GT(after, before);
 }
@@ -281,10 +264,10 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   size_t warmed_log = h.logs[1].size();
 
   for (auto& log : h.logs) log.clear();
-  uint64_t heap_before = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t heap_before = AllocationCount();
   workload();
   h.group->Advance(SimTime::Max(), options);
-  uint64_t heap_after = g_allocation_count.load(std::memory_order_relaxed);
+  uint64_t heap_after = AllocationCount();
   EXPECT_EQ(heap_after - heap_before, 0u);
   EXPECT_EQ(h.group->exchange_allocs(), warmed_allocs);
   EXPECT_EQ(h.logs[1].size(), warmed_log);

@@ -501,7 +501,7 @@ TEST(TieOrderTest, SameInstantCompletionsFireInPinnedOrder) {
         options.response_bytes = 64;
         rpc.CallFixed(client, net::NodeId{0, 100, static_cast<uint32_t>(i)},
                       options, server_time,
-                      [&, tag, i](const net::RpcResult&) {
+                      [&, tag, i](const net::RpcOutcome&) {
                         record(tag + "rpc" + std::to_string(i));
                         simulator.Schedule(SimTime::Zero(), [&, tag, i]() {
                           record(tag + "after" + std::to_string(i));
