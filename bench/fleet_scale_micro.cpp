@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "platforms/fleet.h"
@@ -158,11 +159,11 @@ SweepPoint RunSweepPoint(uint64_t queries, uint32_t shards, int repeats,
 
 /**
  * Direct probe of the zero-steady-state-allocation guarantee: warm a
- * 4-kernel group with oversized (arena-routed) payloads, then read the
- * exchange-path allocation counter across an identical second wave. The
- * unit suite pins the same property with a real allocator override
- * (tests/sim/shard_group_test.cc); recording the counter here keeps the
- * JSON trajectory honest in release builds too.
+ * 4-kernel group with payloads that fill the envelope's inline buffer,
+ * then read the exchange-path allocation counter across an identical
+ * second wave. The unit suite pins the same property with a real
+ * allocator override (tests/sim/shard_group_test.cc); recording the
+ * counter here keeps the JSON trajectory honest in release builds too.
  */
 uint64_t SteadyStateExchangeAllocs() {
   constexpr uint32_t kKernels = 4;
@@ -174,28 +175,28 @@ uint64_t SteadyStateExchangeAllocs() {
     kernels.push_back(owned.back().get());
   }
   sim::ShardGroup group(kernels, kWindow);
-  struct Fat {
-    char pad[96];  // past the 48-byte inline buffer: takes the arena path
+  struct Wide {
+    char pad[sim::Simulator::Callback::kInlineBytes];  // the whole buffer
   };
   auto wave = [&](uint64_t base_seq) {
     for (uint32_t from = 0; from < kKernels; ++from) {
       for (uint64_t m = 0; m < 16; ++m) {
-        Fat fat{};
+        Wide wide{};
         group.Post(from, (from + 1) % kKernels,
                    kernels[from]->Now() + kWindow, /*lane=*/from,
-                   base_seq + m, [fat] { (void)fat.pad; });
+                   base_seq + m, [wide] { (void)wide.pad; });
       }
     }
     sim::ShardGroup::RunOptions options;
     group.Advance(SimTime::Max(), options);
   };
-  // Warm-up: arena cells and *both* sides of the double-buffered
-  // mailboxes grow here (each run flips staging and inbox once, so the
-  // second wave touches the other buffer).
+  // Warm-up: *both* sides of the double-buffered mailboxes grow here
+  // (each run flips staging and inbox once, so the second wave touches
+  // the other buffer).
   wave(0);
   wave(16);
   const uint64_t warm = group.exchange_allocs();
-  wave(32);  // steady state: every buffer and cell must be reused
+  wave(32);  // steady state: every buffer must be reused
   return group.exchange_allocs() - warm;
 }
 
@@ -338,10 +339,15 @@ int main(int argc, char** argv) {
   std::fprintf(file,
                "{\n  \"benchmark\": \"fleet_scale\",\n"
                "  \"host_cores\": %u,\n"
+               "  \"compiler\": \"%s\",\n"
+               "  \"build_type\": \"%s\",\n"
+               "  \"kernel_dispatch\": \"%s\",\n"
                "  \"bit_identical\": %s,\n"
                "  \"steady_state_exchange_allocs\": %llu,\n"
                "  \"results\": [\n",
-               host_cores, identical ? "true" : "false",
+               host_cores, "gcc-compatible " __VERSION__, HYPERPROF_BUILD_TYPE,
+               KernelDispatchName(ActiveKernelDispatch()),
+               identical ? "true" : "false",
                static_cast<unsigned long long>(steady_allocs));
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& point = sweep[i];

@@ -80,24 +80,9 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# The datacenter-tax kernels select portable or hardware paths at runtime
-# (common/cpu.h). Re-run every kernel-facing suite with the policy pinned
-# each way: the bit-identity contract means both passes must be green on
-# any host, and under any sanitizer the surrounding build chose. The
-# serve suites ride along because the wire framing's CRC32C goes through
-# the same dispatch (a frame encoded under one pin must decode under the
-# other — the daemon and its clients may resolve dispatch differently).
-KERNEL_TESTS=(kernel_dispatch_test checksum_test wire_test message_test
-              sha3_test compression_test fuzz_test continuous_test
-              trace_export_test frame_fuzz_test serve_test
-              serve_alloc_test)
-for dispatch in portable native; do
-  echo "== kernel suites with HYPERPROF_KERNEL_DISPATCH=$dispatch =="
-  for test in "${KERNEL_TESTS[@]}"; do
-    HYPERPROF_KERNEL_DISPATCH="$dispatch" "$BUILD_DIR/tests/$test" \
-      --gtest_brief=1
-  done
-done
+# Every kernel-facing suite again, with the dispatch policy pinned each
+# way (the suite list lives in scripts/kernel_suites.sh, which CI runs too).
+scripts/kernel_suites.sh "$BUILD_DIR"
 
 if [[ "${ASAN:-0}" != "0" ]]; then
   # Slot recycling, reservoir swaps, and interner string_view lifetimes get

@@ -45,12 +45,65 @@ uint64_t DeriveQuerySeed(uint64_t base, uint64_t index) {
 
 }  // namespace
 
+ShardIoFabric::ShardIoFabric(sim::ShardGroup* group,
+                             std::vector<sim::Simulator*> kernels,
+                             storage::DistributedFileSystem* dfs)
+    : group_(group),
+      kernels_(std::move(kernels)),
+      storage_index_(static_cast<uint32_t>(kernels_.size() - 1)),
+      dfs_(dfs),
+      hops_(storage_index_) {}
+
+void ShardIoFabric::Submit(
+    uint32_t shard, uint64_t lane, uint64_t seq, const net::NodeId& client,
+    uint64_t block_id, uint64_t bytes, bool is_write, uint32_t replication,
+    storage::DistributedFileSystem::ReadCallback on_done) {
+  SlotPool<Hop>& pool = hops_[shard].pool;
+  const uint32_t index = pool.Acquire();
+  Hop* hop = &pool[index];
+  hop->shard = shard;
+  hop->index = index;
+  hop->lane = lane;
+  hop->seq = seq;
+  hop->client = client;
+  hop->block_id = block_id;
+  hop->bytes = bytes;
+  hop->replication = replication;
+  hop->is_write = is_write;
+  hop->on_done = std::move(on_done);
+  group_->Post(shard, storage_index_, kernels_[shard]->Now() + group_->window(),
+               lane, seq, [this, hop]() { Serve(hop); });
+}
+
+void ShardIoFabric::Serve(Hop* hop) {
+  auto reply = [this, hop](const storage::IoResult& io) {
+    hop->io = io;
+    group_->Post(storage_index_, hop->shard,
+                 kernels_[storage_index_]->Now() + group_->window(), hop->lane,
+                 hop->seq, [this, hop]() { Complete(hop); });
+  };
+  if (hop->is_write) {
+    dfs_->Write(hop->client, hop->block_id, hop->bytes, hop->replication,
+                reply);
+  } else {
+    dfs_->Read(hop->client, hop->block_id, hop->bytes, reply);
+  }
+}
+
+void ShardIoFabric::Complete(Hop* hop) {
+  storage::DistributedFileSystem::ReadCallback on_done =
+      std::move(hop->on_done);
+  const storage::IoResult io = std::move(hop->io);
+  hops_[hop->shard].pool.Release(hop->index);
+  on_done(io);
+}
+
 PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
                                Rng rng)
     : context_(context),
       spec_(std::move(spec)),
       rng_(std::move(rng)),
-      sharded_(context.shard_io != nullptr),
+      sharded_(context.fabric != nullptr),
       shuffles_(context.simulator, context.rpc) {
   assert(!sharded_ || context_.shard_count > 0);
   assert(!sharded_ || spec_.worker_cores == 0);
@@ -497,16 +550,10 @@ void PlatformEngine::IssueIoWave(uint32_t index) {
       // Route through the cross-shard fabric: the request reaches the
       // storage kernel one window later, the completion returns here
       // one window after the storage plane finishes.
-      if (phase.write) {
-        context_.shard_io->Write(context_.shard_index, query.lane,
-                                 query.msg_seq++, query.client, block_id,
-                                 phase.block_bytes, phase.write_replication,
-                                 on_io);
-      } else {
-        context_.shard_io->Read(context_.shard_index, query.lane,
-                                query.msg_seq++, query.client, block_id,
-                                phase.block_bytes, on_io);
-      }
+      context_.fabric->Submit(context_.shard_index, query.lane,
+                              query.msg_seq++, query.client, block_id,
+                              phase.block_bytes, phase.write,
+                              phase.write_replication, on_io);
     } else if (phase.write) {
       context_.dfs->Write(query.client, block_id, phase.block_bytes,
                           phase.write_replication, on_io);

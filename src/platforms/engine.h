@@ -16,34 +16,84 @@
 #include "profiling/tracer.h"
 #include "sim/barrier.h"
 #include "sim/resource.h"
+#include "sim/shard_group.h"
 #include "sim/simulator.h"
 #include "storage/dfs.h"
 
 namespace hyperprof::platforms {
 
 /**
- * Cross-shard access to the storage plane for sharded platforms (see
- * FleetConfig::shards_per_platform). A shard engine submits reads and
- * writes here instead of calling the filesystem directly; the fabric
- * carries the request to the storage kernel and the completion back to
- * the issuing shard, each hop taking one shard window. `lane` is the
- * global query index and `seq` a per-query message counter — together
- * the shard-layout-invariant key that fixes the canonical delivery order
- * of same-instant cross-shard messages.
+ * The storage fabric of a sharded platform (see
+ * FleetConfig::shards_per_platform). A worker shard's engine submits reads
+ * and writes here instead of calling the filesystem directly: the request
+ * hops from the worker kernel to the storage kernel and the completion
+ * hops back, each hop taking exactly one shard window, the modeled
+ * worker<->fileserver latency that makes the group's conservative epochs
+ * sound. `lane` is the global query index and `seq` a per-query message
+ * counter: together the shard-layout-invariant key that fixes the
+ * canonical delivery order of same-instant cross-shard messages. Request
+ * and reply share the key; they differ in destination.
+ *
+ * Continuation state follows DESIGN.md §17. Each worker shard owns a
+ * SlotPool of hop records, and the request payload, the filesystem's
+ * reply callback and the reply payload capture only (fabric, record).
+ * Only the owning worker's thread acquires and releases its records. The
+ * storage kernel's thread reaches a record through its stable address
+ * alone (SlotPool chunks never move) and never indexes the pool, whose
+ * chunk table the worker may grow concurrently; the epoch barrier orders
+ * its write of the result before the worker reads it.
  */
-class ShardIo {
+class ShardIoFabric {
  public:
-  virtual ~ShardIo() = default;
+  /** `kernels` = worker kernels in shard order, storage kernel last. */
+  ShardIoFabric(sim::ShardGroup* group, std::vector<sim::Simulator*> kernels,
+                storage::DistributedFileSystem* dfs);
 
-  virtual void Read(uint32_t shard, uint64_t lane, uint64_t seq,
-                    const net::NodeId& client, uint64_t block_id,
-                    uint64_t bytes,
-                    storage::DistributedFileSystem::ReadCallback on_done) = 0;
+  ShardIoFabric(const ShardIoFabric&) = delete;
+  ShardIoFabric& operator=(const ShardIoFabric&) = delete;
 
-  virtual void Write(uint32_t shard, uint64_t lane, uint64_t seq,
-                     const net::NodeId& client, uint64_t block_id,
-                     uint64_t bytes, uint32_t replication,
-                     storage::DistributedFileSystem::ReadCallback on_done) = 0;
+  /**
+   * Reads `bytes` of `block_id` for worker `shard` or, with `is_write`,
+   * writes them to `replication` fileservers. Called on the worker's
+   * kernel; `on_done` runs there two windows after the storage plane
+   * starts, plus the storage plane's own time.
+   */
+  void Submit(uint32_t shard, uint64_t lane, uint64_t seq,
+              const net::NodeId& client, uint64_t block_id, uint64_t bytes,
+              bool is_write, uint32_t replication,
+              storage::DistributedFileSystem::ReadCallback on_done);
+
+ private:
+  /** One storage round trip in flight. */
+  struct Hop {
+    uint32_t shard = 0;
+    uint32_t index = 0;  // this record's index in its shard's pool
+    uint64_t lane = 0;
+    uint64_t seq = 0;
+    net::NodeId client;
+    uint64_t block_id = 0;
+    uint64_t bytes = 0;
+    uint32_t replication = 0;
+    bool is_write = false;
+    storage::DistributedFileSystem::ReadCallback on_done;
+    storage::IoResult io;  // written on the storage kernel's thread
+  };
+
+  /** A worker shard's records, on a cache line of their own. */
+  struct alignas(64) ShardHops {
+    SlotPool<Hop> pool;
+  };
+
+  /** Storage kernel: runs the IO and posts the reply. */
+  void Serve(Hop* hop);
+  /** Worker kernel: recycles the record, then runs its completion. */
+  void Complete(Hop* hop);
+
+  sim::ShardGroup* group_;
+  std::vector<sim::Simulator*> kernels_;
+  uint32_t storage_index_;
+  storage::DistributedFileSystem* dfs_;
+  std::vector<ShardHops> hops_;  // [shard]
 };
 
 /** Everything a platform engine needs from the substrate. */
@@ -66,15 +116,15 @@ struct EngineContext {
   const ZipfSampler* block_sampler = nullptr;
 
   // --- Sharded mode (FleetConfig::shards_per_platform > 0) ---
-  // When `shard_io` is set the engine runs in per-query-stream mode: it
+  // When `fabric` is set the engine runs in per-query-stream mode: it
   // owns queries whose global index is congruent to `shard_index` mod
   // `shard_count`, derives every stochastic draw for a query from a
   // stream seeded by (stream_seed, query index), draws trace-sampling
   // decisions itself (forced into the tracer), and routes storage IO
-  // through `shard_io` instead of `dfs`. All of this makes a query's
+  // through `fabric` instead of `dfs`. All of this makes a query's
   // simulated timeline a function of its index alone, which is what lets
   // any shard count produce bit-identical platform results.
-  ShardIo* shard_io = nullptr;
+  ShardIoFabric* fabric = nullptr;
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;  // 0 = legacy fused mode
   uint64_t stream_seed = 0;  // base of the per-query derived streams

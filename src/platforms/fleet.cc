@@ -17,6 +17,11 @@ namespace {
 // constant is the only randomness source it constructs.
 constexpr uint64_t kMergeSeed = 0x9e3779b97f4a7c15ULL;
 
+// Every platform's CPU profiler: one sample per millisecond of on-core
+// time, converted to cycles at 3 GHz.
+constexpr SimTime kProfilerPeriod = SimTime::Micros(1000);
+constexpr double kCpuHz = 3.0e9;
+
 // Block spaces from this size up are set up on a thread pool (see
 // BuildStoragePlane); below it the serial build takes milliseconds.
 constexpr uint64_t kParallelSetupMinBlocks = uint64_t{1} << 18;
@@ -30,7 +35,6 @@ profiling::ContinuousOptions ContinuousOptionsFrom(const FleetConfig& config,
   options.window = config.continuous_window;
   options.history_size = config.continuous_history;
   options.budget = config.continuous_budget;
-  options.max_anomalies = config.continuous_max_anomalies;
   options.defer_evaluation = defer;
   return options;
 }
@@ -52,96 +56,6 @@ struct FleetSimulation::PlatformSlot::WorkerShard {
   std::unique_ptr<profiling::CpuProfiler> profiler;
   std::unique_ptr<profiling::ContinuousProfiler> continuous;
   std::unique_ptr<PlatformEngine> engine;
-};
-
-/**
- * ShardIo over a ShardGroup: a request hops from its worker kernel to the
- * storage kernel and the completion hops back, each hop taking exactly one
- * shard window — the modeled worker<->fileserver fabric latency that makes
- * the group's conservative epochs sound. The (lane, seq) key travels with
- * both hops; request and reply stay distinct because they differ in
- * destination.
- */
-class ShardIoFabric : public ShardIo {
- public:
-  /** `kernels` = worker kernels in shard order, storage kernel last. */
-  ShardIoFabric(sim::ShardGroup* group, std::vector<sim::Simulator*> kernels,
-                storage::DistributedFileSystem* dfs)
-      : group_(group),
-        kernels_(std::move(kernels)),
-        storage_index_(static_cast<uint32_t>(kernels_.size() - 1)),
-        dfs_(dfs) {}
-
-  void Read(uint32_t shard, uint64_t lane, uint64_t seq,
-            const net::NodeId& client, uint64_t block_id, uint64_t bytes,
-            storage::DistributedFileSystem::ReadCallback on_done) override {
-    Submit(shard, lane, seq, client, block_id, bytes, /*replication=*/0,
-           /*is_write=*/false, std::move(on_done));
-  }
-
-  void Write(uint32_t shard, uint64_t lane, uint64_t seq,
-             const net::NodeId& client, uint64_t block_id, uint64_t bytes,
-             uint32_t replication,
-             storage::DistributedFileSystem::ReadCallback on_done) override {
-    Submit(shard, lane, seq, client, block_id, bytes, replication,
-           /*is_write=*/true, std::move(on_done));
-  }
-
- private:
-  struct Request {
-    ShardIoFabric* fabric = nullptr;
-    uint32_t shard = 0;
-    uint64_t lane = 0;
-    uint64_t seq = 0;
-    net::NodeId client;
-    uint64_t block_id = 0;
-    uint64_t bytes = 0;
-    uint32_t replication = 0;
-    bool is_write = false;
-    storage::DistributedFileSystem::ReadCallback on_done;
-  };
-
-  void Submit(uint32_t shard, uint64_t lane, uint64_t seq,
-              const net::NodeId& client, uint64_t block_id, uint64_t bytes,
-              uint32_t replication, bool is_write,
-              storage::DistributedFileSystem::ReadCallback on_done) {
-    auto req = std::make_shared<Request>();
-    req->fabric = this;
-    req->shard = shard;
-    req->lane = lane;
-    req->seq = seq;
-    req->client = client;
-    req->block_id = block_id;
-    req->bytes = bytes;
-    req->replication = replication;
-    req->is_write = is_write;
-    req->on_done = std::move(on_done);
-    group_->Post(shard, storage_index_,
-                 kernels_[shard]->Now() + group_->window(), lane, seq,
-                 [req]() { req->fabric->Serve(req); });
-  }
-
-  void Serve(const std::shared_ptr<Request>& req) {
-    auto reply = [req](const storage::IoResult& io) {
-      ShardIoFabric* fabric = req->fabric;
-      fabric->group_->Post(
-          fabric->storage_index_, req->shard,
-          fabric->kernels_[fabric->storage_index_]->Now() +
-              fabric->group_->window(),
-          req->lane, req->seq, [req, io]() { req->on_done(io); });
-    };
-    if (req->is_write) {
-      dfs_->Write(req->client, req->block_id, req->bytes, req->replication,
-                  std::move(reply));
-    } else {
-      dfs_->Read(req->client, req->block_id, req->bytes, std::move(reply));
-    }
-  }
-
-  sim::ShardGroup* group_;
-  std::vector<sim::Simulator*> kernels_;
-  uint32_t storage_index_;
-  storage::DistributedFileSystem* dfs_;
 };
 
 FleetSimulation::FleetSimulation(FleetConfig config)
@@ -224,7 +138,7 @@ void FleetSimulation::BuildWorker(const PlatformSlot& slot,
   worker.tracer = std::make_unique<profiling::Tracer>(
       config_.trace_sample_one_in, std::move(tracer_rng), tracer_options);
   worker.profiler = std::make_unique<profiling::CpuProfiler>(
-      config_.profiler_period, config_.cpu_hz, std::move(profiler_rng));
+      kProfilerPeriod, kCpuHz, std::move(profiler_rng));
   if (config_.continuous_window > SimTime::Zero()) {
     worker.continuous = std::make_unique<profiling::ContinuousProfiler>(
         ContinuousOptionsFrom(config_, /*defer=*/sharded));
@@ -300,7 +214,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
       EngineContext context;
       context.simulator = worker.simulator.get();
       context.rpc = worker.rpc.get();
-      context.shard_io = slot->fabric.get();
+      context.fabric = slot->fabric.get();
       context.shard_index = k;
       context.shard_count = num_shards;
       context.stream_seed = stream_seed;
@@ -385,7 +299,7 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   // order adds exact integer sums, so the merged totals do not depend on
   // which shard sampled what, and symbol ids follow first-sample order.
   slot.merged_profiler = std::make_unique<profiling::CpuProfiler>(
-      config_.profiler_period, config_.cpu_hz, Rng(kMergeSeed));
+      kProfilerPeriod, kCpuHz, Rng(kMergeSeed));
   for (const auto& worker : slot.workers) {
     slot.merged_profiler->AbsorbSamples(*worker->profiler);
   }

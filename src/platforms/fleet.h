@@ -23,8 +23,6 @@
 
 namespace hyperprof::platforms {
 
-class ShardIoFabric;  // fleet.cc: ShardIo over a ShardGroup
-
 /** Configuration of a whole-fleet characterization run. */
 struct FleetConfig {
   uint64_t queries_per_platform = 20000;
@@ -33,8 +31,6 @@ struct FleetConfig {
   // we simulate fewer queries, so the default sampling is denser. The
   // sampling-rate ablation bench sweeps this.
   uint32_t trace_sample_one_in = 20;
-  SimTime profiler_period = SimTime::Micros(1000);
-  double cpu_hz = 3.0e9;
   uint64_t seed = 42;
   // Host threads used by AddPlatform, Advance and Finish (so RunAll):
   // 0 = one per hardware thread, 1 = the serial path (no threads are
@@ -87,8 +83,6 @@ struct FleetConfig {
   // Per-window, per-category virtual-time budgets (latency, cpu, io,
   // remote work). Zero = unlimited; overruns are flagged as anomalies.
   std::array<SimTime, profiling::kNumWindowCategories> continuous_budget = {};
-  // Bounded anomaly-log capacity (overflow counted, not stored).
-  size_t continuous_max_anomalies = 64;
   storage::DfsParams dfs;
   // Default fault spec installed on every shard's RPC fabric. All-zero (the
   // default) leaves the model un-armed: the fabric never consults it and
@@ -169,7 +163,7 @@ struct ShardStats {
   // Barriers skipped by adaptive epoch coalescing (schedule- and
   // layout-invariant; folded into the simtest digest alongside epochs).
   uint64_t coalesced_epochs = 0;
-  // Exchange-path heap allocations (mailbox/arena growth); zero at a
+  // Exchange-path heap allocations (mailbox growth); zero at a
   // warmed-up steady state. Layout-dependent — reporting only.
   uint64_t exchange_allocs = 0;
   // Envelopes that arrived in a kernel's past; nonzero means an unsound

@@ -151,6 +151,14 @@ uint64_t Tracer::OpenTrace(NameId platform, NameId query_type, SimTime now,
   slot.trace.start = now;
   slot.trace.end = now;
   slot.trace.spans.clear();  // keeps recycled capacity
+  // Slots recycle LIFO, so a rarely reached deep slot can meet a longer
+  // trace than it held before. Under the reservoir the slots keep their
+  // storage, so sizing each to the longest trace yet finished lets a
+  // warmed tracer stop growing. kRetainAll hands every slot's storage to
+  // its retained trace and keeps its memory as it was.
+  if (options_.retention == TraceRetention::kSampleReservoir) {
+    slot.trace.spans.reserve(span_high_water_);
+  }
   ++open_count_;
   return MakeHandle(slot_index, slot.gen);
 }
@@ -206,6 +214,7 @@ void Tracer::FinishQuery(uint64_t trace_id, SimTime end) {
   }
   slot->trace.end = end;
   ++queries_finished_;
+  span_high_water_ = std::max(span_high_water_, slot->trace.spans.size());
   AttributedTime attributed = breakdown_->Fold(slot->trace);
   if (continuous_ != nullptr) {
     continuous_->Observe(end, end - slot->trace.start, attributed);

@@ -278,6 +278,7 @@ class Tracer {
   uint64_t dropped_finishes_ = 0;
   uint64_t dropped_spans_ = 0;
   size_t open_count_ = 0;
+  size_t span_high_water_ = 0;  // most spans any finished trace held
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<QueryTrace> traces_;

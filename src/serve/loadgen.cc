@@ -75,10 +75,10 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
   }
   report.connected = true;
 
-  // The arrival schedule is fixed up front (open loop): request k is due
-  // at schedule[k] regardless of how the service is doing. Warmup
-  // requests lead the schedule at the same offered rate; the measured
-  // window opens when the first measured request is sent.
+  // The arrival schedule is Poisson and fixed up front (open loop):
+  // request k is due at schedule[k] regardless of how the service is
+  // doing. Warmup requests lead the schedule at the same offered rate;
+  // the measured window opens when the first measured request is sent.
   const uint64_t warmup = options.warmup_requests;
   const uint64_t total = warmup + options.total_requests;
   Rng rng(options.seed);
@@ -87,7 +87,7 @@ LoadGenReport RunLoadGen(const LoadGenOptions& options) {
   std::vector<double> schedule(total);
   double due = 0;
   for (uint64_t k = 0; k < total; ++k) {
-    due += options.poisson ? rng.NextExponential(mean_gap) : mean_gap;
+    due += rng.NextExponential(mean_gap);
     schedule[k] = due;
   }
 

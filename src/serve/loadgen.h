@@ -7,7 +7,7 @@ namespace hyperprof::serve {
 
 struct LoadGenOptions {
   uint16_t port = 0;           // daemon port on loopback
-  double offered_qps = 1000;   // open-loop arrival rate
+  double offered_qps = 1000;   // open-loop Poisson arrival rate
   uint64_t total_requests = 1000;  // measured requests (excludes warmup)
   /**
    * Requests sent ahead of the measured run at the same offered rate, to
@@ -20,7 +20,6 @@ struct LoadGenOptions {
   uint32_t connections = 1;
   uint64_t seed = 1;           // arrival-schedule RNG seed
   uint32_t platform = 0;       // fleet platform the queries target
-  bool poisson = true;         // exponential inter-arrivals; false = fixed
   /** Wall-clock budget to wait for trailing responses after the last send. */
   double drain_timeout_seconds = 10.0;
 };

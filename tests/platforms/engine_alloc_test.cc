@@ -63,9 +63,13 @@ constexpr ResidualSite kPaxosRoundSites[] = {
 //   - a fileserver cache's free-slot list (doubling) when more of its
 //     slots are free at once than ever before;
 //   - the engine's QueryState pool when more queries are in flight than
-//     ever before.
-// Measured per batch: BigQuery 1 and BigTable 1 (free list), Spanner 5
-// (4 free list, 1 query state).
+//     ever before;
+//   - traced, the tracer's open-trace slots, each sized to the longest
+//     trace finished so far, when more traces are open than ever before
+//     or a trace is longer than any before.
+// Measured per batch, untraced / traced: BigQuery 1 / 1 and BigTable 1 / 2
+// (free list, span storage), Spanner 5 / 6 (4 free list, 1 query state,
+// span storage).
 constexpr uint64_t kHighWaterBudget = 8;
 
 uint64_t PaxosRoundAllocations() {
@@ -174,30 +178,35 @@ constexpr uint64_t kWarmupQueries = 5000;
 constexpr uint64_t kMeasuredQueries = 2000;
 
 /**
- * Warms a fused engine of `spec`, then counts the allocations of a second
- * batch against its residual budget (consensus rounds x the listed sites).
+ * Warms a fused engine of `spec`, untraced and traced, then counts the
+ * allocations of a second batch of each against its residual budget
+ * (consensus rounds x the listed sites).
  */
 void ExpectSteadyState(const PlatformSpec& spec) {
-  // Counted untraced: a trace's span vector is the tracer's own recycled
-  // storage, which reaches its high-water size only slowly.
-  Harness counted(spec, /*traced=*/false);
-  Harness twin(spec, /*traced=*/true);
-  counted.RunBatch(kWarmupQueries);
-  twin.RunBatch(kWarmupQueries);
-  const uint64_t rounds_before = twin.ConsensusQueries();
-  const uint64_t allocations =
-      CountAllocations([&] { counted.RunBatch(kMeasuredQueries); });
-  twin.RunBatch(kMeasuredQueries);
-  const uint64_t rounds = twin.ConsensusQueries() - rounds_before;
-  EXPECT_EQ(counted.completed(), kWarmupQueries + kMeasuredQueries);
-  std::printf("%s: %llu allocations over %llu queries (%llu consensus "
-              "rounds)\n",
-              spec.name.c_str(), static_cast<unsigned long long>(allocations),
+  Harness untraced(spec, /*traced=*/false);
+  Harness traced(spec, /*traced=*/true);
+  untraced.RunBatch(kWarmupQueries);
+  traced.RunBatch(kWarmupQueries);
+  const uint64_t rounds_before = traced.ConsensusQueries();
+  const uint64_t untraced_allocations =
+      CountAllocations([&] { untraced.RunBatch(kMeasuredQueries); });
+  const uint64_t traced_allocations =
+      CountAllocations([&] { traced.RunBatch(kMeasuredQueries); });
+  const uint64_t rounds = traced.ConsensusQueries() - rounds_before;
+  EXPECT_EQ(untraced.completed(), kWarmupQueries + kMeasuredQueries);
+  EXPECT_EQ(traced.completed(), kWarmupQueries + kMeasuredQueries);
+  std::printf("%s: %llu allocations untraced, %llu traced, over %llu "
+              "queries (%llu consensus rounds)\n",
+              spec.name.c_str(),
+              static_cast<unsigned long long>(untraced_allocations),
+              static_cast<unsigned long long>(traced_allocations),
               static_cast<unsigned long long>(kMeasuredQueries),
               static_cast<unsigned long long>(rounds));
   const uint64_t consensus = rounds * PaxosRoundAllocations();
-  ASSERT_GE(allocations, consensus) << spec.name;
-  EXPECT_LE(allocations - consensus, kHighWaterBudget) << spec.name;
+  for (uint64_t allocations : {untraced_allocations, traced_allocations}) {
+    ASSERT_GE(allocations, consensus) << spec.name;
+    EXPECT_LE(allocations - consensus, kHighWaterBudget) << spec.name;
+  }
 }
 
 TEST(EngineAllocTest, BigQueryFusedQueriesAllocateNothing) {

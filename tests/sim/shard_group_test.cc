@@ -78,21 +78,23 @@ void PostHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
                  });
 }
 
-/** Same chain, but every payload drags a 96-byte pad into the arena. */
-void PostFatHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
-                uint32_t remaining) {
+/**
+ * Same chain, but every payload fills the envelope's whole inline buffer
+ * (the largest payload Post accepts).
+ */
+void PostWideHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
+                 uint32_t remaining) {
   uint32_t to = (from + 1) % static_cast<uint32_t>(h->kernels.size());
   SimTime deliver = h->kernels[from]->Now() + kWindow;
-  std::array<unsigned char, 96> pad{};
+  std::array<unsigned char, 16> pad{};
   pad[0] = static_cast<unsigned char>(seq);
-  h->group->Post(from, to, deliver, lane, seq,
-                 [h, to, lane, seq, remaining, pad] {
-                   h->logs[to].push_back(
-                       {h->kernels[to]->Now().nanos(), lane + pad[0] - pad[0],
-                        seq});
-                   if (remaining > 0) PostFatHop(h, to, lane, seq + 1,
-                                                 remaining - 1);
-                 });
+  auto payload = [h, lane, seq, to, remaining, pad] {
+    h->logs[to].push_back(
+        {h->kernels[to]->Now().nanos(), lane + pad[0] - pad[0], seq});
+    if (remaining > 0) PostWideHop(h, to, lane, seq + 1, remaining - 1);
+  };
+  static_assert(sizeof(payload) == Simulator::Callback::kInlineBytes);
+  h->group->Post(from, to, deliver, lane, seq, std::move(payload));
 }
 
 /** Kicks `lanes` chains of `hops` messages each from kernel `from`. */
@@ -242,9 +244,10 @@ TEST(ShardGroupTest, UndeliveredCountsBufferedEnvelopes) {
   ASSERT_EQ(h.logs[0].size(), 1u);
 }
 
-// Oversized payloads land in per-source arena cells that recycle once the
-// payload has run: repeating the identical workload on a warmed-up group
-// must add no exchange allocations and no heap allocations at all.
+// Envelopes carry their payloads inline and mailboxes keep their
+// capacity: repeating the identical workload of full-width payloads on a
+// warmed-up group must add no exchange allocations and no heap
+// allocations at all.
 TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   Harness h(2);
   ShardGroup::RunOptions options;  // serial: runner threads would allocate
@@ -252,15 +255,15 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
     for (uint64_t lane = 0; lane < 4; ++lane) {
       h.kernels[0]->ScheduleFlagged(
           SimTime::Micros(static_cast<int64_t>(lane) * 40),
-          [harness = &h, lane] { PostFatHop(harness, 0, lane, 0, 9); });
+          [harness = &h, lane] { PostWideHop(harness, 0, lane, 0, 9); });
     }
   };
-  // Warm-up: grows mailboxes, arena cells, kernel slot tables, heaps.
+  // Warm-up: grows mailboxes, kernel slot tables, heaps.
   workload();
   h.group->Advance(SimTime::Max(), options);
   EXPECT_EQ(h.group->messages_delivered(), 40u);
   uint64_t warmed_allocs = h.group->exchange_allocs();
-  EXPECT_GT(warmed_allocs, 0u);  // the fat payloads did hit the arena
+  EXPECT_GT(warmed_allocs, 0u);  // the mailboxes did grow
   size_t warmed_log = h.logs[1].size();
 
   for (auto& log : h.logs) log.clear();
@@ -275,9 +278,9 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   EXPECT_EQ(h.group->late_deliveries(), 0u);
 }
 
-// The inline path is alloc-free even on the very first run: small-capture
-// chains touch only containers, which retain capacity across runs.
-TEST(ShardGroupTest, InlinePayloadsSkipTheArena) {
+// Small-capture chains touch only containers, which retain capacity
+// across runs: the second run adds no exchange allocations.
+TEST(ShardGroupTest, MailboxesKeepCapacityAcrossRuns) {
   Harness h(2);
   ShardGroup::RunOptions options;
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
@@ -285,7 +288,7 @@ TEST(ShardGroupTest, InlinePayloadsSkipTheArena) {
   uint64_t after_first = h.group->exchange_allocs();
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
   h.group->Advance(SimTime::Max(), options);
-  // No arena cells and no further container growth on the second run.
+  // No further container growth on the second run.
   EXPECT_EQ(h.group->exchange_allocs(), after_first);
   EXPECT_EQ(h.group->messages_delivered(), 24u);
 }
