@@ -15,11 +15,14 @@
 // Perf-smoke guard (CI, BENCH=1 scripts/check.sh): on a host with 2+
 // cores and no sanitizer, any sharded point whose runner threads fit the
 // host must stay within 10% of the 1-shard events/sec baseline — sharding
-// must never make things slower. Skipped (with a printed reason) on
-// 1-core hosts and under sanitizers, where wall-clock is meaningless.
+// must never make things slower. The guard times its own full-size
+// passes, 1-shard and sharded in turn, and compares medians, in smoke mode
+// too. Skipped (with a printed reason) on 1-core hosts and under ASan and
+// TSan, where wall-clock is meaningless.
 //
 // Usage: fleet_scale_micro [out.json] [--smoke]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -115,6 +118,26 @@ platforms::FleetConfig BenchConfig(uint64_t queries, uint32_t shards,
   config.shard_window = SimTime::Micros(500);
   config.worker_hosts = worker_hosts;
   return config;
+}
+
+/** Simulated events per wall-clock second of one fresh fleet's run. */
+double PassEventsPerSec(uint64_t queries, uint32_t shards) {
+  platforms::FleetSimulation fleet(BenchConfig(queries, shards,
+                                               /*worker_hosts=*/64));
+  fleet.AddPlatform(BenchSpec());
+  auto begin = Clock::now();
+  fleet.RunAll();
+  double elapsed = std::chrono::duration<double>(Clock::now() - begin).count();
+  return elapsed > 0
+             ? static_cast<double>(fleet.total_events_executed()) / elapsed
+             : 0;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 ? values[mid]
+                           : (values[mid - 1] + values[mid]) / 2;
 }
 
 SweepPoint RunSweepPoint(uint64_t queries, uint32_t shards, int repeats,
@@ -213,7 +236,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const uint64_t queries = smoke ? 600 : 20000;
+  constexpr uint64_t kFullQueries = 20000;
+  const uint64_t queries = smoke ? 600 : kFullQueries;
   const int repeats = smoke ? 1 : 2;
   const uint32_t shard_counts[] = {1, 2, 3, 4, 8};
   const unsigned host_cores = std::thread::hardware_concurrency();
@@ -281,7 +305,13 @@ int main(int argc, char** argv) {
   // Perf-smoke guard: sharding must never cost throughput on a host that
   // can actually run the threads. Exchange allocations amortize to zero,
   // so even the shard counts that merely fit (no spare cores for speedup)
-  // must hold 90% of the single-kernel baseline.
+  // must hold 90% of the single-kernel baseline. A single pass is inside
+  // run-to-run noise, so the guard runs kGuardRounds rounds of one pass per
+  // guarded shard count, 1 shard first, and compares median events/s. Its
+  // passes are full-size even in smoke mode: a 600-query pass lasts a few
+  // milliseconds, too short to amortize the runners' epoch handoffs, and
+  // its sharded medians sit near 0.85x on a 4-core host.
+  constexpr int kGuardRounds = 5;
   bool guard_failed = false;
   if (kSanitized) {
     std::printf("perf guard: skipped (sanitizer build, wall-clock is not "
@@ -290,20 +320,36 @@ int main(int argc, char** argv) {
     std::printf("perf guard: skipped (1-core host, every sharded point is "
                 "core-limited)\n\n");
   } else {
-    const double baseline = sweep.front().events_per_sec;
+    std::vector<uint32_t> guarded = {1};
     for (const SweepPoint& point : sweep) {
-      if (point.shards < 2 || point.core_limited) continue;
-      if (point.events_per_sec < 0.9 * baseline) {
-        std::printf("perf guard: FAIL — %u shards ran at %.2fM events/s, "
-                    "below 0.9x the 1-shard baseline %.2fM\n",
-                    point.shards, point.events_per_sec / 1e6,
-                    baseline / 1e6);
+      if (point.shards >= 2 && !point.core_limited) {
+        guarded.push_back(point.shards);
+      }
+    }
+    std::vector<std::vector<double>> rates(guarded.size());
+    for (int round = 0; round < kGuardRounds; ++round) {
+      for (size_t g = 0; g < guarded.size(); ++g) {
+        rates[g].push_back(PassEventsPerSec(kFullQueries, guarded[g]));
+      }
+    }
+    const double baseline = Median(rates[0]);
+    for (size_t g = 1; g < guarded.size(); ++g) {
+      const double median = Median(rates[g]);
+      std::printf("perf guard: %u shards median %.2fM events/s, %.2fx the "
+                  "1-shard median %.2fM\n",
+                  guarded[g], median / 1e6, median / baseline,
+                  baseline / 1e6);
+      if (median < 0.9 * baseline) {
+        std::printf("perf guard: FAIL — %u shards below 0.9x\n",
+                    guarded[g]);
         guard_failed = true;
       }
     }
     if (!guard_failed) {
-      std::printf("perf guard: ok (every fitting sharded point within 10%% "
-                  "of the 1-shard baseline)\n");
+      std::printf("perf guard: ok (every fitting sharded point's median "
+                  "within 10%% of the 1-shard median over %d alternating "
+                  "rounds)\n",
+                  kGuardRounds);
     }
     std::printf("\n");
   }

@@ -270,6 +270,29 @@ void BM_LsmCompaction(benchmark::State& state) {
 }
 BENCHMARK(BM_LsmCompaction)->Unit(benchmark::kMillisecond);
 
+// --- Block popularity ---
+
+// One draw per iteration, interleaved over the default Spanner, BigTable
+// and BigQuery block samplers (2^22, 2^22 and 2^23 ranks), so the time per
+// iteration is ns per draw with the three tables competing for cache as
+// they do in a fleet run.
+void BM_ZipfSample(benchmark::State& state) {
+  static const ZipfSampler tables[] = {
+      ZipfSampler(1 << 22, 0.85), ZipfSampler(1 << 22, 0.95),
+      ZipfSampler(1 << 23, 0.6)};
+  Rng rng(12);
+  size_t table = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tables[table].Sample(rng));
+    table = table == 2 ? 0 : table + 1;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  uint64_t bytes = 0;
+  for (const ZipfSampler& zipf : tables) bytes += zipf.memory_bytes();
+  state.counters["table_mb"] = static_cast<double>(bytes) / (1 << 20);
+}
+BENCHMARK(BM_ZipfSample);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -130,49 +131,21 @@ void PairAliases(std::vector<double>& prob, std::vector<uint32_t>& alias) {
   for (uint32_t s : small) prob[s] = 1.0;
 }
 
-/**
- * PairAliases without its worklists, for the case where the small columns
- * (scaled weight below 1) are exactly a suffix [k, n), as with any
- * non-increasing weights such as Zipf's. The large stack only ever takes
- * back the column it just gave up, so it is always a prefix [0, top) of
- * [0, k); the small stack is the unpopped part of [k, n) plus at most one
- * column demoted from the large stack, which is popped next. Same pops in
- * the same order, so the table is bit-identical to PairAliases. Returns
- * false, changing nothing, when the small columns are not a suffix.
- *
- * At paper scale the two worklists were the set-up's largest transient
- * buffers; freeing them raised glibc's dynamic mmap threshold, so whether
- * later buffers of that size were mapped or carved from a thread's arena
- * depended on which thread built which sampler, and peak RSS moved by a
- * worklist's size from run to run.
- */
-bool PairSuffixAliases(std::vector<double>& prob,
-                       std::vector<uint32_t>& alias) {
-  const size_t n = prob.size();
-  size_t k = 0;
-  while (k < n && !(prob[k] < 1.0)) ++k;
-  for (size_t i = k; i < n; ++i) {
-    if (!(prob[i] < 1.0)) return false;
-  }
-  size_t small_top = n;  // unpopped original small columns: [k, small_top)
-  size_t large_top = k;  // the large stack: [0, large_top)
-  bool demoted = false;  // column large_top sits on top of the small stack
-  while ((demoted || small_top > k) && large_top > 0) {
-    const size_t s = demoted ? large_top : --small_top;
-    const size_t l = --large_top;
-    demoted = false;
-    alias[s] = static_cast<uint32_t>(l);
-    prob[l] = prob[l] + prob[s] - 1.0;
-    if (prob[l] < 1.0) {
-      demoted = true;
-    } else {
-      ++large_top;
-    }
-  }
-  for (size_t l = 0; l < large_top; ++l) prob[l] = 1.0;
-  for (size_t s = k; s < small_top; ++s) prob[s] = 1.0;
-  if (demoted) prob[large_top] = 1.0;
-  return true;
+/** The unnormalized weight of Zipf rank i. */
+double RankWeight(size_t i, double s) {
+  return 1.0 / std::pow(static_cast<double>(i + 1), s);
+}
+
+/** The largest float <= x. */
+float FloatBelow(double x) {
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) > x ? std::nextafter(f, -1.0f) : f;
+}
+
+/** The smallest float >= x. */
+float FloatAbove(double x) {
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) < x ? std::nextafter(f, 2.0f) : f;
 }
 
 }  // namespace
@@ -210,38 +183,127 @@ double AliasSampler::Probability(size_t i) const { return normalized_[i]; }
 
 std::vector<double> ZipfWeights(size_t n, double s) {
   std::vector<double> w(n == 0 ? 1 : n);
-  for (size_t i = 0; i < w.size(); ++i) {
-    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
-  }
+  for (size_t i = 0; i < w.size(); ++i) w[i] = RankWeight(i, s);
   return w;
 }
 
+double ZipfSampler::Scale(double weight) const {
+  return weight / total_ * static_cast<double>(n_);
+}
+
 ZipfSampler::ZipfSampler(size_t n, double s, ThreadPool* pool)
-    : prob_(n == 0 ? 1 : n), alias_(prob_.size(), 0) {
+    : n_(n == 0 ? 1 : n), s_(s) {
   // The same arithmetic, in the same order per element, as AliasSampler
-  // over ZipfWeights(n, s); prob_ holds the weights, then the scaled
-  // weights, then the acceptance probabilities. Rank 0 weighs 1, so the
-  // total is positive and the all-zero fallback never applies.
-  ForEachRange(pool, prob_.size(), [this, s](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      prob_[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+  // over ZipfWeights(n, s): `scaled` holds the weights, then the scaled
+  // weights, then the acceptances of the columns it keeps. Rank 0 weighs
+  // 1, so the total is positive and the all-zero fallback never applies.
+  std::vector<double> scaled(n_);
+  ForEachRange(pool, n_, [&scaled, s](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) scaled[i] = RankWeight(i, s);
+  });
+  for (double w : scaled) total_ += w;
+  ForEachRange(pool, n_, [this, &scaled](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) scaled[i] = Scale(scaled[i]);
+  });
+  size_t k = 0;
+  while (k < n_ && !(scaled[k] < 1.0)) ++k;
+  for (size_t i = k; i < n_; ++i) {
+    if (!(scaled[i] < 1.0)) {
+      // The small columns are not a suffix (s < 0): keep every column.
+      k_ = small_top_ = n_;
+      alias_.assign(n_, 0);
+      PairAliases(scaled, alias_);
+      prob_ = std::move(scaled);
+      return;
+    }
+  }
+
+  // PairAliases without its worklists. The large stack only ever takes
+  // back the column it just gave up, so it is always a prefix [0, top) of
+  // [0, k); the small stack is the unpopped part of [k, n) plus at most
+  // one column demoted from the large stack, which is popped next. Same
+  // pops in the same order, so the columns are PairAliases' bit for bit.
+  // Popped small columns keep their scaled weight and take aliases in
+  // nonincreasing order, so first_ records all their aliases.
+  k_ = k;
+  alias_.assign(k, 0);
+  first_.assign(k, 0);
+  size_t small_top = n_;  // unpopped original small columns: [k, small_top)
+  size_t large_top = k;   // the large stack: [0, large_top)
+  bool demoted = false;   // column large_top sits on top of the small stack
+  bool sorted = true;     // popped small weights nonincreasing in index
+  double last = 0;        // the last popped small weight
+  while ((demoted || small_top > k) && large_top > 0) {
+    const size_t l = --large_top;
+    size_t small;
+    if (demoted) {
+      small = l + 1;
+      alias_[small] = static_cast<uint32_t>(l);
+    } else {
+      small = --small_top;
+      sorted = sorted && !(scaled[small] < last);
+      last = scaled[small];
+    }
+    first_[l] = static_cast<uint32_t>(small_top);
+    scaled[l] = scaled[l] + scaled[small] - 1.0;
+    demoted = scaled[l] < 1.0;
+    if (!demoted) ++large_top;
+  }
+  for (size_t l = 0; l < large_top; ++l) scaled[l] = 1.0;
+  if (demoted) scaled[large_top] = 1.0;
+  small_top_ = small_top;
+  prob_.assign(scaled.begin(), scaled.begin() + k);
+
+  // Each bucket's bounds come from its lowest and highest popped columns,
+  // which hold its largest and smallest weight only while the weights
+  // are sorted; otherwise every draw in the band recomputes.
+  buckets_.resize(((n_ - k) + (size_t{1} << kBucketShift) - 1) >>
+                  kBucketShift);
+  ForEachRange(pool, buckets_.size(), [&](size_t begin, size_t end) {
+    for (size_t b = begin; b < end; ++b) {
+      const size_t lo_col = std::max(k + (b << kBucketShift), small_top);
+      const size_t hi_col = std::min(k + ((b + 1) << kBucketShift), n_) - 1;
+      if (lo_col > hi_col) continue;  // never popped
+      Bucket& bucket = buckets_[b];
+      const uint32_t top = static_cast<uint32_t>(k - 1);
+      bucket.alias_lo = static_cast<uint32_t>(SmallAlias(lo_col, 0, top));
+      bucket.alias_hi = static_cast<uint32_t>(SmallAlias(hi_col, 0, top));
+      if (sorted) {
+        bucket.lo = FloatBelow(scaled[hi_col]);
+        bucket.hi = FloatAbove(scaled[lo_col]);
+      }
     }
   });
-  double total = 0;
-  for (double w : prob_) total += w;
-  const double count = static_cast<double>(prob_.size());
-  ForEachRange(pool, prob_.size(),
-               [this, total, count](size_t begin, size_t end) {
-                 for (size_t i = begin; i < end; ++i) {
-                   prob_[i] = prob_[i] / total * count;
-                 }
-               });
-  if (!PairSuffixAliases(prob_, alias_)) PairAliases(prob_, alias_);
+}
+
+size_t ZipfSampler::SmallAlias(size_t i, uint32_t lo, uint32_t hi) const {
+  return static_cast<size_t>(std::upper_bound(first_.begin() + lo,
+                                              first_.begin() + hi + 1, i) -
+                             first_.begin()) -
+         1;
 }
 
 size_t ZipfSampler::Sample(Rng& rng) const {
-  size_t i = rng.NextBounded(prob_.size());
-  return rng.NextDouble() < prob_[i] ? i : alias_[i];
+  const size_t i = rng.NextBounded(n_);
+  const double u = rng.NextDouble();
+  if (i < k_) return u < prob_[i] ? i : alias_[i];
+  if (i < small_top_) return i;
+  const Bucket& b = buckets_[(i - k_) >> kBucketShift];
+  if (u < b.lo || (u < b.hi && u < Scale(RankWeight(i, s_)))) return i;
+  return SmallAlias(i, b.alias_lo, b.alias_hi);
+}
+
+double ZipfSampler::Acceptance(size_t i) const {
+  if (i < k_) return prob_[i];
+  if (i < small_top_) return 1.0;
+  return Scale(RankWeight(i, s_));
+}
+
+size_t ZipfSampler::Alias(size_t i) const {
+  if (i < k_) return alias_[i];
+  if (i < small_top_) return 0;
+  const Bucket& b = buckets_[(i - k_) >> kBucketShift];
+  return SmallAlias(i, b.alias_lo, b.alias_hi);
 }
 
 }  // namespace hyperprof

@@ -114,41 +114,73 @@ std::vector<double> ZipfWeights(size_t n, double s);
  *
  * Key popularity in production KV stores is Zipf-like; this drives the
  * cache-hit behaviour of the storage substrate. Implemented via an alias
- * table over the rank probabilities, so draws are O(1).
+ * table over the rank probabilities, so draws are O(1). Its columns, and
+ * so its draws for every seed, are bit-identical to those of
+ * AliasSampler(ZipfWeights(n, s)).
  *
- * The table is built in place, with no weight or normalized copy: a
- * paper-scale block space has millions of ranks, and every platform
- * builds one. Its draws are bit-identical to those of
- * AliasSampler(ZipfWeights(n, s)) for every seed.
+ * A paper-scale block space has millions of ranks and every platform
+ * builds one, so the table is compact. For s >= 0 the columns whose
+ * scaled weight n * p_i is below 1 ("small") are the suffix [k, n), and
+ * Vose's pairing leaves each popped small column its scaled weight as
+ * acceptance and an alias that is a nondecreasing step function of its
+ * index. Only the k large columns are stored. A small column's acceptance
+ * is recomputed with the build's arithmetic when a per-bucket bound cannot
+ * decide the draw, and its alias is a binary search over the step
+ * breakpoints. For s < 0 every column is stored.
  */
 class ZipfSampler {
  public:
   /**
    * A non-null `pool` computes the weights and the scale step in parallel.
    * The total is summed serially in rank order and the alias pairing is
-   * serial, so the table is bit-identical with or without a pool. When the
-   * columns below 1 form a suffix, as they do for s >= 0, the pairing needs
-   * no scratch memory beyond the table.
+   * serial, so the table is bit-identical with or without a pool.
    */
   ZipfSampler(size_t n, double s, ThreadPool* pool = nullptr);
 
   /** Samples a rank in [0, size()). */
   size_t Sample(Rng& rng) const;
-  size_t size() const { return prob_.size(); }
+  size_t size() const { return n_; }
 
   /** Column i of the alias table (for inspection/tests). */
-  double Acceptance(size_t i) const { return prob_[i]; }
-  size_t Alias(size_t i) const { return alias_[i]; }
+  double Acceptance(size_t i) const;
+  size_t Alias(size_t i) const;
 
-  /** Heap bytes held by the alias table. */
+  /** Heap bytes held by the compact table. */
   uint64_t memory_bytes() const {
     return prob_.capacity() * sizeof(double) +
-           alias_.capacity() * sizeof(uint32_t);
+           (alias_.capacity() + first_.capacity()) * sizeof(uint32_t) +
+           buckets_.capacity() * sizeof(Bucket);
   }
 
  private:
+  /** What 2^kBucketShift consecutive popped small columns share. */
+  struct Bucket {
+    float lo = 0;  // <= every acceptance in the bucket
+    float hi = 2;  // >= every acceptance in the bucket
+    uint32_t alias_lo = 0;  // the aliases of its lowest and highest
+    uint32_t alias_hi = 0;  // popped columns
+  };
+  static constexpr unsigned kBucketShift = 6;
+
+  /**
+   * Scales a rank weight to n * p_i. The build and the draw both scale
+   * through here, so a recomputed acceptance equals the built one.
+   */
+  double Scale(double weight) const;
+  /** Alias of popped small column i, known to be in [lo, hi]. */
+  size_t SmallAlias(size_t i, uint32_t lo, uint32_t hi) const;
+
+  size_t n_;
+  double s_;
+  double total_ = 0;
+  size_t k_ = 0;          // columns [0, k_) are stored in prob_/alias_
+  size_t small_top_ = 0;  // [k_, small_top_) were never popped: accept
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
+  // first_[l]: the lowest small column aliased to large column l, or
+  // first_[l + 1] if none is, or 0 if l was never paired; nondecreasing.
+  std::vector<uint32_t> first_;
+  std::vector<Bucket> buckets_;  // column i's is (i - k_) >> kBucketShift
 };
 
 }  // namespace hyperprof

@@ -199,11 +199,40 @@ TEST(ZipfSamplerTest, HeadMassMatchesTheory) {
   EXPECT_NEAR(head / static_cast<double>(draws), num / den, 0.01);
 }
 
+// The compact table, built serially or on a pool, must equal the generic
+// alias table over the same weights column for column and give exactly its
+// draws.
+void ExpectMatchesAliasSampler(size_t n, double s, ThreadPool& pool) {
+  SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+  const AliasSampler reference(ZipfWeights(n, s));
+  const ZipfSampler serial(n, s);
+  const ZipfSampler pooled(n, s, &pool);
+  ASSERT_EQ(serial.size(), reference.size());
+  ASSERT_EQ(pooled.size(), reference.size());
+  // Bit-exact tables: a last-bit difference would almost never show in a
+  // draw, so compare the columns themselves.
+  for (size_t i = 0; i < reference.size(); ++i) {
+    for (const ZipfSampler* built : {&serial, &pooled}) {
+      ASSERT_EQ(built->Acceptance(i), reference.Acceptance(i))
+          << "column " << i;
+      ASSERT_EQ(built->Alias(i), reference.Alias(i)) << "column " << i;
+    }
+  }
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng want_rng(seed), serial_rng(seed), pooled_rng(seed);
+    for (int i = 0; i < 200; ++i) {
+      const size_t want = reference.Sample(want_rng);
+      ASSERT_EQ(serial.Sample(serial_rng), want)
+          << "seed=" << seed << " draw=" << i;
+      ASSERT_EQ(pooled.Sample(pooled_rng), want)
+          << "seed=" << seed << " draw=" << i;
+    }
+  }
+}
+
 TEST(ZipfSamplerTest, DrawsMatchAliasSamplerOverZipfWeights) {
-  // The in-place table, built serially or on a pool, must equal the
-  // generic alias table over the same weights and give exactly its draws.
-  // s >= 0 pairs without worklists; s < 0 (increasing weights) takes the
-  // generic pairing.
+  // s >= 0 keeps only the large columns; s < 0 (increasing weights) keeps
+  // every column through the generic pairing.
   // The pool runs at small sizes so the sanitizer jobs cover the pooled
   // build.
   ThreadPool pool(3);
@@ -211,33 +240,33 @@ TEST(ZipfSamplerTest, DrawsMatchAliasSamplerOverZipfWeights) {
       {0, 0.9},   {1, 0.9},    {1, 0.0},     {2, 1.0},    {3, -0.5},
       {7, 0.0},   {100, 0.0},  {1000, 0.6},  {4096, 0.99}, {5000, 1.3},
       {20000, 0.85}, {1 << 18, 0.9}};
-  for (const auto& [n, s] : cases) {
-    const AliasSampler reference(ZipfWeights(n, s));
-    const ZipfSampler serial(n, s);
-    const ZipfSampler pooled(n, s, &pool);
-    ASSERT_EQ(serial.size(), reference.size()) << n << " " << s;
-    ASSERT_EQ(pooled.size(), reference.size()) << n << " " << s;
-    // Bit-exact tables: a last-bit difference would almost never show in
-    // a draw, so compare the columns themselves.
-    for (size_t i = 0; i < reference.size(); ++i) {
-      for (const ZipfSampler* built : {&serial, &pooled}) {
-        ASSERT_EQ(built->Acceptance(i), reference.Acceptance(i))
-            << "n=" << n << " s=" << s << " column " << i;
-        ASSERT_EQ(built->Alias(i), reference.Alias(i))
-            << "n=" << n << " s=" << s << " column " << i;
-      }
-    }
-    for (uint64_t seed = 1; seed <= 64; ++seed) {
-      Rng want_rng(seed), serial_rng(seed), pooled_rng(seed);
-      for (int i = 0; i < 200; ++i) {
-        const size_t want = reference.Sample(want_rng);
-        ASSERT_EQ(serial.Sample(serial_rng), want)
-            << "n=" << n << " s=" << s << " seed=" << seed << " draw=" << i;
-        ASSERT_EQ(pooled.Sample(pooled_rng), want)
-            << "n=" << n << " s=" << s << " seed=" << seed << " draw=" << i;
-      }
+  for (const auto& [n, s] : cases) ExpectMatchesAliasSampler(n, s, pool);
+}
+
+TEST(ZipfSamplerTest, PaperScaleTablesMatchAliasSampler) {
+  // The block spaces and skews of the default Spanner, BigTable and
+  // BigQuery specs.
+  ThreadPool pool(3);
+  for (const auto& [n, s] : {std::pair<size_t, double>{1 << 22, 0.85},
+                             {1 << 22, 0.95},
+                             {1 << 23, 0.6}}) {
+    ExpectMatchesAliasSampler(n, s, pool);
+  }
+  // Near-equal weights whose rounding runs the large stack dry while
+  // original small columns are still unpopped: they keep acceptance 1.
+  // Found by search over n and tiny s.
+  const size_t n = 1337;
+  const double s = 1e-10;
+  const AliasSampler reference(ZipfWeights(n, s));
+  size_t unpopped = 0, popped = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (reference.Probability(i) * static_cast<double>(n) < 1.0) {
+      ++(reference.Acceptance(i) == 1.0 ? unpopped : popped);
     }
   }
+  EXPECT_GT(unpopped, 0u);
+  EXPECT_GT(popped, 64u);  // more than one bucket
+  ExpectMatchesAliasSampler(n, s, pool);
 }
 
 TEST(ZipfSamplerTest, EmptyRankSpaceSamplesRankZero) {

@@ -179,6 +179,17 @@ TEST(FleetMemoryTest, WarmCachesStoreNoEntryPerWarmBlock) {
   EXPECT_GT(fleet.DfsOf(0).server_store(0).ssd_cache().entry_count(), 0u);
 }
 
+TEST(FleetMemoryTest, BlockSamplerKeepsOnlyLargeColumns) {
+  // Spanner's block sampler spans 4 Mi ranks. A full alias table held 48 MB
+  // (12 bytes a rank); storing only the 12% of columns whose scaled weight
+  // reaches 1, plus 16 bytes per 64 small columns, holds about 8.6 MB.
+  FleetSimulation fleet;
+  fleet.AddPlatform(SpannerSpec());
+  const FleetMemoryStats stats = fleet.MemoryStats();
+  EXPECT_GT(stats.sampler_bytes, 0u);
+  EXPECT_LE(stats.sampler_bytes, uint64_t{12} << 20);
+}
+
 TEST(FleetMemoryTest, SimulationMemoryIndependentOfRunLength) {
   // The kernel holds in-flight events (arrivals come from one cursor per
   // flag class) and the profiler one totals cell per symbol, so ten times
